@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm figs docs serve-loadtest io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm figs docs serve-loadtest perfbench io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke clean
 
 all: vet build test
 
@@ -62,6 +62,13 @@ docs:
 serve-loadtest:
 	$(GO) run ./cmd/knorserve -loadtest
 
+# One workload of the repo benchmark (BENCHMARK.json): knori-mem,
+# knors-file, serve-small or serve-wide, from a workload seed.
+WORKLOAD ?= serve-small
+SEED ?= 1
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED)
+
 # Real-I/O smoke (mirrors CI): generate a small store-format file,
 # stream it with the file backend, and assert the result is
 # oracle-equal to the simulated backend on the same bytes, with
@@ -80,12 +87,9 @@ io-smoke:
 	echo "io-smoke: ok (file backend oracle-equal to simulated backend)"
 
 # Distributed-serving smoke (mirrors CI): the sharded-vs-single-node
-# bit-identity property test (machines x precision x argmin ties) and
-# the simulated scaling acceptance (>= 2x assign throughput at 4
-# machines), then the quick -exp shardserve sweep.
+# bit-identity property test (machines x precision x argmin ties).
 shardserve-smoke:
-	$(GO) test -run 'TestShardParity|TestSimulateShardServeScaling' ./internal/shardserve
-	$(GO) run ./cmd/knorbench -quick -exp shardserve
+	$(GO) test -run 'TestShardParity' ./internal/shardserve
 
 # Chaos smoke (mirrors CI, deterministic, well under 30s): the seeded
 # kill-schedule harness — replicated shard serving stays oracle-exact

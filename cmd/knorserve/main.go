@@ -134,7 +134,7 @@ func main() {
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		traceEvery   = flag.Int("trace-sample", 1000, "sample one /assign request in every N for /debug/traces (0 = off)")
 		accessLog    = flag.Bool("access-log", false, "log one line per HTTP request (with request IDs) to stderr")
-		telemetryOn  = flag.Bool("telemetry", true, "record latency histograms and traces (counters/gauges stay on regardless)")
+		telemetryOn  = flag.Bool("telemetry", true, "record latency histograms and traces (counters/gauges stay on regardless); when off, /v1/stats latency fields read 0")
 		eventsLog    = flag.Bool("events-log", false, "mirror the structured cluster event journal (/debug/events) to stderr")
 
 		loadtest  = flag.Bool("loadtest", false, "run the self-contained /assign load test and exit")

@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"knor/internal/telemetry"
 )
 
 const createBody = `{"name":"obs","k":2,"rows":[[0,0],[0,1],[9,0],[9,1]]}`
@@ -264,6 +266,32 @@ func TestStatsObservabilityFields(t *testing.T) {
 	var inflight map[string]int
 	if err := json.Unmarshal(stats["inflight"], &inflight); err != nil {
 		t.Fatalf("inflight not a map: %s", stats["inflight"])
+	}
+
+	// The latency fields are read from the edge request histogram that
+	// /metrics exposes, not from a second recorder.
+	var p50 float64
+	if err := json.Unmarshal(stats["p50_ms"], &p50); err != nil {
+		t.Fatalf("p50_ms not a number: %s", stats["p50_ms"])
+	}
+	edge := telemetry.Default.Histogram("knor_serve_request_seconds", "", nil)
+	if want := 1e3 * edge.Quantile(0.5); p50 != want || p50 <= 0 {
+		t.Errorf("p50_ms = %v, want 1e3 x knor_serve_request_seconds Quantile(0.5) = %v", p50, want)
+	}
+	// With telemetry off the histogram is not fed: the fields read 0.
+	telemetry.SetEnabled(false)
+	defer telemetry.SetEnabled(true)
+	var off struct {
+		P50  float64 `json:"p50_ms"`
+		P95  float64 `json:"p95_ms"`
+		P99  float64 `json:"p99_ms"`
+		Mean float64 `json:"mean_ms"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/stats", &off); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	if off.P50 != 0 || off.P95 != 0 || off.P99 != 0 || off.Mean != 0 {
+		t.Errorf("latency fields with telemetry off = %+v, want all 0", off)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -516,22 +517,69 @@ func (s *server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// writeJSON encodes v before committing the status, so a value JSON
+// cannot represent (NaN, ±Inf) becomes a JSON 500 instead of a success
+// status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// decodeBody reads a JSON request body of at most
+// netcluster.MaxFrameBytes, the bound the cluster wire already puts on
+// one frame; a larger body is answered 413.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, netcluster.MaxFrameBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// errRowOverflow rejects a query row whose squared norm is not finite
+// at the serving precision: the ‖v‖²+‖c‖²−2·v·c distance identity would
+// turn it into ±Inf/NaN distances (and fold them into a stream model).
+var errRowOverflow = errors.New("row squared norm overflows")
+
+// checkRows returns an error wrapping errRowOverflow for the first row
+// of rows whose squared norm overflows at precision p.
+func checkRows(rows *matrix.Dense, p kmeans.Precision) error {
+	for i := 0; i < rows.Rows(); i++ {
+		var sq float64
+		if p == kmeans.Precision32 {
+			var sq32 float32
+			for _, v := range rows.Row(i) {
+				sq32 += float32(v) * float32(v)
+			}
+			sq = float64(sq32)
+		} else {
+			for _, v := range rows.Row(i) {
+				sq += v * v
+			}
+		}
+		if math.IsInf(sq, 0) {
+			return fmt.Errorf("%w at %s-bit precision: row %d", errRowOverflow, p, i)
+		}
+	}
+	return nil
 }
 
 type modelInfo struct {
@@ -685,6 +733,9 @@ func (s *server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rows, err := matrix.FromRows(req.Rows)
+	if err == nil {
+		err = checkRows(rows, s.opts.precision)
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -731,6 +782,9 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rows, err := matrix.FromRows(req.Rows)
+	if err == nil {
+		err = checkRows(rows, s.opts.precision)
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -825,9 +879,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// nanToZero maps the latency recorder's empty-state NaN to 0: JSON has
-// no NaN, and encoding one after the 200 header is written would leave
-// the client an empty body.
+// nanToZero maps the edge histogram's empty-state NaN quantiles (no
+// observation yet, or -telemetry=false) to 0: JSON has no NaN.
 func nanToZero(v float64) float64 {
 	if math.IsNaN(v) {
 		return 0

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"knor/internal/kmeans"
+	"knor/internal/netcluster"
 )
 
 func newTestServer(t *testing.T, opts serverOptions) (*server, *httptest.Server) {
@@ -243,6 +244,79 @@ func TestE2EErrorPaths(t *testing.T) {
 			t.Errorf("list: %d", code)
 		}
 	})
+}
+
+// TestE2EOverflowRowsRejected: a finite query row whose squared norm
+// overflows at the serving precision gets a JSON 400 on /v1/assign and
+// /v1/observe before any compute, and never reaches the stream model.
+// 1e20 overflows only float32 (1e40 > MaxFloat32), so the same row is
+// served at -precision 64.
+func TestE2EOverflowRowsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		prec     kmeans.Precision
+		rejected []string
+		served   []string
+	}{
+		{kmeans.Precision64, []string{`[[1e300,1e300]]`, `[[0,0],[-1e200,0]]`}, []string{`[[1e20,0]]`}},
+		{kmeans.Precision32, []string{`[[1e300,1e300]]`, `[[1e20,0]]`}, nil},
+	} {
+		t.Run("precision"+tc.prec.String(), func(t *testing.T) {
+			_, ts := newTestServer(t, serverOptions{precision: tc.prec})
+			if code, body := postJSON(t, ts.URL+"/v1/models",
+				`{"name":"o","k":2,"rows":[[0,0],[0,1],[9,0],[9,1]]}`); code != http.StatusCreated {
+				t.Fatalf("create: %d %v", code, body)
+			}
+			for _, rows := range tc.rejected {
+				for _, ep := range []string{"/v1/assign", "/v1/observe"} {
+					code, body := postJSON(t, ts.URL+ep, `{"model":"o","rows":`+rows+`}`)
+					msg, _ := body["error"].(string)
+					if code != http.StatusBadRequest || !strings.Contains(msg, errRowOverflow.Error()) {
+						t.Errorf("%s %s: %d %v, want 400 with a row-overflow error", ep, rows, code, body)
+					}
+				}
+			}
+			for _, rows := range tc.served {
+				if code, body := postJSON(t, ts.URL+"/v1/assign", `{"model":"o","rows":`+rows+`}`); code != http.StatusOK {
+					t.Errorf("assign %s: %d %v, want 200", rows, code, body)
+				}
+			}
+			// The rejected rows were never folded into the stream.
+			code, body := postJSON(t, ts.URL+"/v1/observe", `{"model":"o","rows":[[1,1]]}`)
+			if code != http.StatusOK || body["seen"] != float64(1) {
+				t.Errorf("observe after rejections: %d %v, want seen=1", code, body)
+			}
+		})
+	}
+}
+
+// TestE2EOversizedBody413: a request body beyond netcluster.MaxFrameBytes
+// is cut off while decoding and answered 413 with a JSON error.
+func TestE2EOversizedBody413(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{})
+	body := io.MultiReader(strings.NewReader(`{"model":"o","rows":`),
+		io.LimitReader(spaces{}, netcluster.MaxFrameBytes+1), strings.NewReader(`[[1]]}`))
+	resp, err := http.Post(ts.URL+"/v1/assign", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatalf("non-JSON 413 body: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || m["error"] == nil {
+		t.Fatalf("oversized body: %d %v, want 413 with an error field", resp.StatusCode, m)
+	}
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestRetainAgeSweep checks the background sweeper (not just publish)

@@ -23,7 +23,9 @@ import (
 // Returns nil on a clean drain; context.DeadlineExceeded if drainWait
 // elapsed with handlers still in flight; any other error from Serve.
 func serveUntil(ctx context.Context, ln net.Listener, s *server, drainWait time.Duration) error {
-	hs := &http.Server{Handler: s.mux()}
+	// ReadHeaderTimeout bounds how long a connection may dribble its
+	// request headers (slowloris); bodies are bounded by decodeBody.
+	hs := &http.Server{Handler: s.mux(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -17,9 +17,9 @@
 // alpha-beta wire costs; the software collective-initiation setup
 // (CostModel.NetSetup) is the caller's to charge per collective, as
 // knord's collectives layer does (internal/dist/collectives.go).
-// RingAllreduce and MinAllreduce (minreduce.go, the serving layer's
-// argmin merge) are the self-contained collectives: they charge their
-// own setup and book transfer time on every NIC Resource.
+// RingAllreduce is the self-contained collective: it charges its own
+// setup and books transfer time on every NIC Resource. minreduce.go
+// holds the serving layer's argmin merge value (CombineMin).
 package cluster
 
 import (

@@ -9,7 +9,6 @@ import (
 	"knor/internal/blas"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
-	"knor/internal/metrics"
 	"knor/internal/telemetry"
 )
 
@@ -87,7 +86,15 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 	return o
 }
 
-// BatcherStats summarises the assignment path's behaviour.
+// BatcherStats summarises the assignment path's behaviour. The counts
+// are per instance; the latency fields are the process-wide edge
+// figures, read from the request histogram the edge observes
+// (knor_serve_request_seconds single-node, knor_shardserve_request_seconds
+// at the fan-out edge), so every edge of one kind in a process reports
+// the same quantiles. They are bucket-interpolated estimates: NaN (Mean
+// 0) before the first observation, and zero while telemetry is disabled
+// (the histogram is not fed) and on Internal shard batchers, which
+// record no request latency.
 type BatcherStats struct {
 	Requests uint64  // Assign/AssignBatch calls answered
 	Rows     uint64  // query rows answered
@@ -98,6 +105,22 @@ type BatcherStats struct {
 	P95      float64
 	P99      float64
 	Mean     float64
+}
+
+// WithLatency returns st with its latency fields read from an edge
+// request histogram: Quantile for P50/P95/P99, Sum/Count for Mean. It
+// leaves them untouched while telemetry is disabled.
+func (st BatcherStats) WithLatency(h *telemetry.Histogram) BatcherStats {
+	if !telemetry.Enabled() {
+		return st
+	}
+	st.P50 = h.Quantile(0.50)
+	st.P95 = h.Quantile(0.95)
+	st.P99 = h.Quantile(0.99)
+	if n := h.Count(); n > 0 {
+		st.Mean = h.Sum() / float64(n)
+	}
+	return st
 }
 
 // pendingReq is one waiter: a set of rows against one model, answered
@@ -132,7 +155,6 @@ type batchAnswer struct {
 type BatcherOf[T blas.Float] struct {
 	reg  *Registry
 	opts BatcherOptions
-	lat  *metrics.Latency
 
 	mu       sync.Mutex
 	queue    []pendingReq[T]
@@ -145,10 +167,10 @@ type BatcherOf[T blas.Float] struct {
 	stop chan struct{}
 	done chan struct{}
 
-	requests metrics.Counter
-	rows     metrics.Counter
-	flushes  metrics.Counter
-	rejected metrics.Counter
+	requests telemetry.Counter
+	rows     telemetry.Counter
+	flushes  telemetry.Counter
+	rejected telemetry.Counter
 }
 
 // Batcher is the float64 assignment path.
@@ -163,16 +185,9 @@ func NewBatcher(reg *Registry, opts BatcherOptions) *Batcher {
 // NewBatcherOf starts the assignment path at element type T over a
 // registry. Close it to stop the background flusher.
 func NewBatcherOf[T blas.Float](reg *Registry, opts BatcherOptions) *BatcherOf[T] {
-	lat := metrics.NewLatency(1)
-	if !opts.Internal {
-		// The edge's reservoir (exact Stats quantiles) mirrors into the
-		// registered histogram so /metrics reports the same stream.
-		lat.Mirror(telRequestSeconds)
-	}
 	b := &BatcherOf[T]{
 		reg:      reg,
 		opts:     opts.withDefaults(),
-		lat:      lat,
 		inflight: map[string]int{},
 		work:     make(chan struct{}, 1),
 		full:     make(chan struct{}, 1),
@@ -266,10 +281,10 @@ func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *
 		tr.Span("reply", ans.done, time.Now())
 		b.opts.Tracer.Done(tr)
 	}
-	b.lat.Observe(time.Since(req.start).Seconds())
 	b.requests.Inc()
 	b.rows.Add(uint64(rows.Rows()))
 	if !b.opts.Internal {
+		telRequestSeconds.Observe(time.Since(req.start).Seconds())
 		telRequests.Inc()
 		telRows.Add(uint64(rows.Rows()))
 	}
@@ -295,7 +310,8 @@ func signal(c chan struct{}) {
 	}
 }
 
-// Stats reports counters and latency quantiles.
+// Stats reports counters and, on an edge batcher, the single-node
+// edge's latency quantiles.
 func (b *BatcherOf[T]) Stats() BatcherStats {
 	st := BatcherStats{
 		Requests: b.requests.Load(), Rows: b.rows.Load(),
@@ -304,11 +320,10 @@ func (b *BatcherOf[T]) Stats() BatcherStats {
 	b.mu.Lock()
 	st.Queued = b.queued
 	b.mu.Unlock()
-	st.P50 = b.lat.Quantile(0.50)
-	st.P95 = b.lat.Quantile(0.95)
-	st.P99 = b.lat.Quantile(0.99)
-	st.Mean = b.lat.Mean()
-	return st
+	if b.opts.Internal {
+		return st
+	}
+	return st.WithLatency(telRequestSeconds)
 }
 
 // InFlight snapshots the per-model in-flight request counts (queued or

@@ -11,7 +11,6 @@ import (
 	"knor/internal/cluster"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
-	"knor/internal/metrics"
 	"knor/internal/serve"
 	"knor/internal/telemetry"
 )
@@ -58,15 +57,14 @@ type AssignerOf[T blas.Float] struct {
 	sr   *ShardRegistry
 	bats []*serve.BatcherOf[T]
 	opts serve.BatcherOptions
-	lat  *metrics.Latency
 
 	mu       sync.Mutex
 	inflight map[string]int
 
-	requests  metrics.Counter
-	rows      metrics.Counter
-	rejected  metrics.Counter
-	failovers metrics.Counter
+	requests  telemetry.Counter
+	rows      telemetry.Counter
+	rejected  telemetry.Counter
+	failovers telemetry.Counter
 }
 
 // NewAssignerOf starts the sharded assignment path at element type T.
@@ -86,7 +84,6 @@ func NewAssignerOf[T blas.Float](sr *ShardRegistry, opts serve.BatcherOptions) *
 	a := &AssignerOf[T]{
 		sr:       sr,
 		opts:     opts,
-		lat:      metrics.NewLatency(1).Mirror(telRequestSeconds),
 		inflight: map[string]int{},
 	}
 	a.bats = make([]*serve.BatcherOf[T], sr.Machines())
@@ -165,7 +162,7 @@ func (a *AssignerOf[T]) AssignBatch(model string, rows *matrix.Mat[T]) ([]serve.
 			done := time.Now()
 			tr.Span("reply", done, done)
 			a.opts.Tracer.Done(tr)
-			a.lat.Observe(done.Sub(start).Seconds())
+			telRequestSeconds.Observe(done.Sub(start).Seconds())
 			a.requests.Inc()
 			a.rows.Add(uint64(rows.Rows()))
 			telRequests.Inc()
@@ -276,8 +273,8 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 // identical versions, so whichever answers first is THE answer. Only a
 // group with no answering replica errors, carrying its centroid range.
 func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
-	key := ShardKey(model, s)
 	var lastErr error
+	var skipped []int // replicas passed over as down
 	for i, m := range plan.Replicas[s] {
 		if i > 0 {
 			a.failovers.Inc()
@@ -287,26 +284,23 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 		}
 		if a.sr.MachineDown(m) {
 			lastErr = fmt.Errorf("machine %d down", m)
+			skipped = append(skipped, m)
 			continue
 		}
-		var as []serve.Assignment
-		var err error
-		switch {
-		case a.sr.remote != nil && !a.sr.remote.LocalMachine(m):
-			// Cluster mode: machine m is a peer process — the query
-			// rows' exact bits ride over the transport and the peer's
-			// batcher answers from its pushed shard snapshot. An RPC
-			// error (dead peer, timeout) fails over like any replica
-			// error. A sampled trace rides along and comes back with the
-			// worker's decode/GEMM/encode spans stitched in.
-			as, err = remoteAssignBatch(a.sr.remote, m, key, rows, tr)
-		case s == 0:
-			// A sampled trace rides through group 0's batcher so the
-			// dump shows the enqueue/coalesce/GEMM stages in-shard.
-			as, err = a.bats[m].AssignBatchTraced(key, rows, tr)
-		default:
-			as, err = a.bats[m].AssignBatch(key, rows)
+		as, err := a.askReplica(model, s, m, rows, tr)
+		if err == nil {
+			return as, nil
 		}
+		lastErr = err
+	}
+	// The kill switches are read one replica at a time, so the walk can
+	// find every replica down although they never were all down at once
+	// (one revived as the next died). Ask the ones that came back.
+	for _, m := range skipped {
+		if a.sr.MachineDown(m) {
+			continue
+		}
+		as, err := a.askReplica(model, s, m, rows, tr)
 		if err == nil {
 			return as, nil
 		}
@@ -317,6 +311,27 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 		telemetry.F("model", model), telemetry.F("shard", s), telemetry.F("last_err", lastErr))
 	return nil, fmt.Errorf("%w: model %q shard %d (centroid rows [%d,%d)): %v",
 		ErrShardUnavailable, model, s, plan.Offsets[s], plan.Offsets[s+1], lastErr)
+}
+
+// askReplica answers shard group s on machine m.
+func (a *AssignerOf[T]) askReplica(model string, s, m int, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
+	key := ShardKey(model, s)
+	switch {
+	case a.sr.remote != nil && !a.sr.remote.LocalMachine(m):
+		// Cluster mode: machine m is a peer process — the query rows'
+		// exact bits ride over the transport and the peer's batcher
+		// answers from its pushed shard snapshot. An RPC error (dead
+		// peer, timeout) fails over like any replica error. A sampled
+		// trace rides along and comes back with the worker's
+		// decode/GEMM/encode spans stitched in.
+		return remoteAssignBatch(a.sr.remote, m, key, rows, tr)
+	case s == 0:
+		// A sampled trace rides through group 0's batcher so the dump
+		// shows the enqueue/coalesce/GEMM stages in-shard.
+		return a.bats[m].AssignBatchTraced(key, rows, tr)
+	default:
+		return a.bats[m].AssignBatch(key, rows)
+	}
 }
 
 // Failovers reports how many times a fan-out passed over a shard
@@ -334,7 +349,8 @@ func (a *AssignerOf[T]) AssignRows(model string, rows *matrix.Dense) ([]serve.As
 }
 
 // Stats aggregates the fan-out edge's counters and latency quantiles
-// with the shard batchers' flush counts. Every request is replicated
+// (read from knor_shardserve_request_seconds) with the shard batchers'
+// flush counts. Every request is replicated
 // to all shards, so Flushes and Queued report the busiest shard (the
 // logical flush/queue count), not the M-inflated sum — avg_batch and
 // queue-depth readings stay comparable with the single-node batcher.
@@ -353,11 +369,7 @@ func (a *AssignerOf[T]) Stats() serve.BatcherStats {
 			st.Queued = bst.Queued
 		}
 	}
-	st.P50 = a.lat.Quantile(0.50)
-	st.P95 = a.lat.Quantile(0.95)
-	st.P99 = a.lat.Quantile(0.99)
-	st.Mean = a.lat.Mean()
-	return st
+	return st.WithLatency(telRequestSeconds)
 }
 
 // InFlight snapshots the per-model in-flight request counts at the

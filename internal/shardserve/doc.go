@@ -6,7 +6,7 @@
 // throughput is no longer bound by one machine's GEMM rate or one
 // machine's memory for k×d centroids.
 //
-// Three pieces compose it:
+// Two pieces compose it:
 //
 //   - ShardRegistry — M per-machine serve.Registry instances kept in
 //     lockstep: publishing a model splits its centroid rows into
@@ -29,11 +29,4 @@
 //     single-node ascending argmin scan does, and the blas kernels
 //     guarantee a centroid block sliced out of a larger matrix
 //     produces bit-identical distances at both widths.
-//   - SimulateShardServe — the cost model. A closed-loop pipeline
-//     over simclock resources (router NIC, per-machine CPUs and NICs)
-//     charging query serialisation (SerializeByteCost), a binomial
-//     fan-out bcast, the per-shard GEMM, and the recursive-doubling
-//     min-allreduce (NetSetup + ⌈log₂M⌉·(α+B/β)); batches pipeline,
-//     so machine b+1's GEMM overlaps batch b's reduction. DESIGN.md
-//     records the formulas, knorbench -exp shardserve the sweep.
 package shardserve

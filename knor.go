@@ -353,10 +353,6 @@ type (
 	// count, replicas per shard group, and an optional membership
 	// layer that triggers self-healing re-placement.
 	ShardOptions = shardserve.Options
-	// ShardSimConfig drives a simulated sharded-serving epoch.
-	ShardSimConfig = shardserve.SimConfig
-	// ShardSimStats summarises a simulated sharded-serving epoch.
-	ShardSimStats = shardserve.SimStats
 	// ChaosConfig drives a seeded kill-schedule run against a
 	// replicated shard registry (see RunChaos).
 	ChaosConfig = shardserve.ChaosConfig
@@ -422,14 +418,6 @@ func NewReplicatedShardRegistry(sopts ShardOptions) *ShardRegistry {
 // produce identical schedules and stats — the replay knob behind
 // `make chaos-smoke`.
 func RunChaos(cfg ChaosConfig) (ChaosStats, error) { return shardserve.RunChaos(cfg) }
-
-// SimulateShardServe runs the sharded /assign fan-out pipeline in
-// simulated time (router serialisation, binomial bcast, per-shard
-// GEMM, recursive-doubling min-allreduce) and reports throughput and
-// per-batch latency quantiles.
-func SimulateShardServe(cfg ShardSimConfig) (ShardSimStats, error) {
-	return shardserve.SimulateShardServe(cfg)
-}
 
 // --- clustering quality metrics ----------------------------------------
 
