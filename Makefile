@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm figs docs serve-loadtest perfbench io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm figs docs perfbench io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke clean
 
 all: vet build test
 
@@ -56,11 +56,6 @@ docs:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck
-
-# The EXPERIMENTS.md serving row: sustained /assign req/s on a
-# 1M x 16, k=100 model over local HTTP.
-serve-loadtest:
-	$(GO) run ./cmd/knorserve -loadtest
 
 # One workload of the repo benchmark (BENCHMARK.json): knori-mem,
 # knors-file, serve-small or serve-wide, from a workload seed.

@@ -14,12 +14,17 @@ import (
 // /v1/cluster/stats condenses the same snapshots into per-rank health
 // numbers, and /debug/events serves the structured cluster journal.
 
-// federate pulls one snapshot per rank. In single-process and
-// simulated-machine modes there is no hub, so the result is rank 0's
-// local registry alone — the endpoints stay useful at every -machines
-// setting.
+// federate pulls one snapshot per rank. A single-node server has no
+// hub, so the result is rank 0's local registry alone — the endpoints
+// stay useful at every -machines setting. In-process peers (-machines
+// N without -listen) share rank 0's registry, so their ranks carry no
+// series of their own.
 func (s *server) federate() []telemetry.RankSnapshot {
-	return shardserve.FederateMetrics(s.hub, s.shards, telemetry.Default)
+	var hub *shardserve.Hub
+	if s.shards != nil {
+		hub = s.shards.Hub()
+	}
+	return shardserve.FederateMetrics(hub, s.shards, telemetry.Default)
 }
 
 // handleClusterMetrics renders the federated Prometheus exposition:
@@ -37,7 +42,9 @@ type rankStats struct {
 	Rank  int  `json:"rank"`
 	Stale bool `json:"stale"`
 	// Latency quantiles: the fan-out request path on rank 0, the shard
-	// GEMM path on workers (their edge instruments are internal).
+	// GEMM path on workers (their edge instruments are internal). Zero,
+	// like BytesTotal and Inflight, for an in-process peer: its work is
+	// counted in rank 0's registry.
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -72,12 +79,10 @@ func (s *server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 			rs.P99MS = famQuantile(snap.Families, lat, 0.99) * 1e3
 			rs.BytesTotal = famSum(snap.Families, "knor_net_bytes_total")
 			rs.Inflight = famSum(snap.Families, "knor_serve_inflight_requests")
-			if snap.Rank == 0 {
-				if s.shards != nil {
-					rs.Shards = float64(s.shards.CopiesOn(0))
-				}
-			} else {
-				rs.Shards = famSum(snap.Families, "knor_peer_shards")
+			// The plan, not the rank's own gauge: in-process peers
+			// publish no knor_peer_shards.
+			if s.shards != nil {
+				rs.Shards = float64(s.shards.CopiesOn(snap.Rank))
 			}
 		}
 		ranks = append(ranks, rs)

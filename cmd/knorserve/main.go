@@ -25,7 +25,6 @@
 //	knorserve -addr :8080
 //	knorserve -addr :8080 -precision 32
 //	knorserve -addr :8080 -machines 4 -quota 256 -state /var/lib/knor
-//	knorserve -loadtest -lt-n 1000000 -lt-d 16 -lt-k 100
 //
 // -precision 32 runs the batched assignment path in float32 against the
 // registry's precomputed float32 centroid mirrors: half the memory
@@ -42,11 +41,14 @@
 // back to a full exact scan, counted in
 // knor_serve_quant_rerank_fallbacks_total.
 //
-// -machines M shards every model's centroids across M simulated
-// machines (internal/shardserve): /assign batches fan out, each
-// machine computes distances against only its shard, and the per-shard
-// argmins merge with lowest-global-index tie-breaking — bit-identical
-// answers to -machines 1 at either precision.
+// -machines M shards every model's centroids across M machines
+// (internal/shardserve): /assign batches fan out, each machine computes
+// distances against only its shard, and the per-shard argmins merge
+// with lowest-global-index tie-breaking — bit-identical answers to
+// -machines 1 at either precision. Machine 0 is this process; machines
+// 1..M-1 are peers reached only through netcluster frames — in-process
+// goroutines over a simulated transport by default, worker processes
+// over TCP with -listen/-join.
 //
 // -replicas R places every shard group on R distinct machines. The
 // fan-out asks the preferred replica first and fails over to the
@@ -64,14 +66,13 @@
 //	GET  /v1/machines        per-machine liveness + shard group health
 //	POST /v1/machines        {"machine":M,"action":"kill"|"revive"}
 //
-// -listen/-join turn the simulated machines into real OS processes
-// over internal/netcluster TCP: the coordinator (-listen, with
-// -machines M and the HTTP API) pushes shard replicas to M-1 worker
-// processes (-join host:port, no HTTP), fans /assign batches out as
-// transport RPCs, and tracks worker liveness from heartbeat pulses —
-// kill -9 a worker and the fan-out fails over to surviving replicas
-// with byte-identical answers (make cluster-smoke drives exactly
-// that):
+// -listen/-join run the peers as OS processes over internal/netcluster
+// TCP instead: the coordinator (-listen, with -machines M and the HTTP
+// API) pushes shard replicas to M-1 worker processes (-join host:port,
+// no HTTP), fans /assign batches out as transport RPCs, and tracks
+// worker liveness from heartbeat pulses — kill -9 a worker and the
+// fan-out fails over to surviving replicas with byte-identical answers
+// (make cluster-smoke drives exactly that):
 //
 //	knorserve -addr :8080 -listen 127.0.0.1:7002 -machines 3 -replicas 2 -threads 1
 //	knorserve -join 127.0.0.1:7002 -threads 1     (run M-1 times)
@@ -88,11 +89,6 @@
 // The server shuts down gracefully on SIGINT/SIGTERM: the listener
 // stops accepting, every in-flight request (including /assign rows
 // waiting on a batch flush) is answered, then the process exits.
-//
-// The -loadtest mode boots the server on a loopback listener, registers
-// a model trained on an N×D dataset, then hammers /assign over HTTP
-// with concurrent clients and reports sustained requests/sec and
-// latency quantiles (the EXPERIMENTS.md serving row).
 package main
 
 import (
@@ -109,7 +105,6 @@ import (
 	"knor/internal/cliutil"
 	"knor/internal/kmeans"
 	"knor/internal/netcluster"
-	"knor/internal/serve"
 	"knor/internal/shardserve"
 	"knor/internal/telemetry"
 )
@@ -121,7 +116,7 @@ func main() {
 		maxWait      = flag.Duration("wait", 200*time.Microsecond, "max time a request waits for its batch to fill")
 		threads      = flag.Int("threads", 0, "GEMM threads (0 = GOMAXPROCS)")
 		nodes        = flag.Int("nodes", 4, "simulated NUMA nodes to pin model shards across")
-		machines     = flag.Int("machines", 1, "shard each model's centroids across this many simulated machines (1 = single-node assigner)")
+		machines     = flag.Int("machines", 1, "shard each model's centroids across this many machines: this process plus machines-1 peers, in-process unless -listen (1 = single-node assigner)")
 		replicas     = flag.Int("replicas", 1, "replicas per shard group: /assign fails over across them, so replicas-1 machine deaths stay invisible (needs -machines > 1)")
 		quota        = flag.Int("quota", 0, "max in-flight /assign requests per model; excess answered 429 (0 = unlimited)")
 		stateDir     = flag.String("state", "", "directory for model snapshot persistence; reloaded on restart (empty = none)")
@@ -136,15 +131,6 @@ func main() {
 		accessLog    = flag.Bool("access-log", false, "log one line per HTTP request (with request IDs) to stderr")
 		telemetryOn  = flag.Bool("telemetry", true, "record latency histograms and traces (counters/gauges stay on regardless); when off, /v1/stats latency fields read 0")
 		eventsLog    = flag.Bool("events-log", false, "mirror the structured cluster event journal (/debug/events) to stderr")
-
-		loadtest  = flag.Bool("loadtest", false, "run the self-contained /assign load test and exit")
-		ltN       = flag.Int("lt-n", 1_000_000, "loadtest: training rows")
-		ltD       = flag.Int("lt-d", 16, "loadtest: dimensions")
-		ltK       = flag.Int("lt-k", 100, "loadtest: clusters")
-		ltClients = flag.Int("lt-clients", 64, "loadtest: concurrent HTTP clients")
-		ltReqs    = flag.Int("lt-requests", 50_000, "loadtest: total /assign requests")
-		ltRows    = flag.Int("lt-rows", 4, "loadtest: query rows per request")
-		ltSeed    = flag.Int64("lt-seed", 1, "loadtest: dataset/query seed")
 	)
 	var cluster cliutil.ClusterFlags
 	cluster.Register(flag.CommandLine)
@@ -178,6 +164,13 @@ func main() {
 		os.Exit(2)
 	}
 	digest := "knorserve:p=" + prec.String()
+	opts := serverOptions{
+		maxBatch: *maxBatch, maxWait: *maxWait, threads: *threads,
+		nodes: *nodes, machines: *machines, replicas: *replicas, quota: *quota, stateDir: *stateDir,
+		publishEvery: *publishEvery, precision: prec, quantize: *quantize,
+		retainVersions: *retainVers, retainAge: *retainAge,
+		pprof: *pprofOn, traceEvery: *traceEvery, accessLog: *accessLog,
+	}
 	if role == cliutil.RoleWorker {
 		// Worker process: join the coordinator, serve pushed shards and
 		// answer assign RPCs until the coordinator goes away. No HTTP.
@@ -190,9 +183,7 @@ func main() {
 		}
 		fmt.Printf("knorserve worker rank %d/%d serving (coordinator %s)\n",
 			tr.Rank(), tr.Size(), cluster.Join)
-		err = shardserve.ServePeer(tr, shardserve.PeerOptions{
-			Batcher: serve.BatcherOptions{MaxBatch: *maxBatch, MaxWait: *maxWait, Threads: *threads},
-		})
+		err = shardserve.ServePeer(tr, shardserve.PeerOptions{Batcher: opts.batcherOptions()})
 		tr.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "knorserve:", err)
@@ -201,7 +192,6 @@ func main() {
 		fmt.Println("knorserve worker: coordinator closed, bye")
 		return
 	}
-	var transport netcluster.Transport
 	if role == cliutil.RoleCoordinator {
 		fmt.Printf("knorserve coordinator on %s waiting for %d workers...\n", cluster.Listen, *machines-1)
 		tr, err := netcluster.DialCluster(netcluster.TCPOptions{
@@ -211,33 +201,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "knorserve:", err)
 			os.Exit(1)
 		}
-		transport = tr
+		opts.transport = tr
 		fmt.Printf("knorserve cluster bootstrapped: %d processes\n", tr.Size())
 	}
-	srv, err := newServer(serverOptions{
-		transport: transport,
-		maxBatch:  *maxBatch, maxWait: *maxWait, threads: *threads,
-		nodes: *nodes, machines: *machines, replicas: *replicas, quota: *quota, stateDir: *stateDir,
-		publishEvery: *publishEvery, precision: prec, quantize: *quantize,
-		retainVersions: *retainVers, retainAge: *retainAge,
-		pprof: *pprofOn, traceEvery: *traceEvery, accessLog: *accessLog,
-	})
+	srv, err := newServer(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "knorserve:", err)
 		os.Exit(1)
-	}
-
-	if *loadtest {
-		defer srv.close()
-		err := runLoadTest(srv, loadTestOptions{
-			n: *ltN, d: *ltD, k: *ltK,
-			clients: *ltClients, requests: *ltReqs, rowsPerReq: *ltRows, seed: *ltSeed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knorserve:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	ln, err := net.Listen("tcp", *addr)

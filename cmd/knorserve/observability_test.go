@@ -355,6 +355,57 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestClusterInProcessPeersShareRankZero: in-process peers run in the
+// coordinator's process, so their ranks must not repeat rank 0's
+// series — /metrics/cluster shows no rank="1" series beyond the stale
+// marker, and /v1/cluster/stats reports rank 1's shard copies with no
+// process-wide latency or byte figures.
+func TestClusterInProcessPeersShareRankZero(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{machines: 2, replicas: 2})
+	if code, body := postJSON(t, ts.URL+"/v1/models", createBody); code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, body)
+	}
+	for i := 0; i < 3; i++ {
+		if code, _ := postJSON(t, ts.URL+"/v1/assign", `{"model":"obs","rows":[[1,1]]}`); code != http.StatusOK {
+			t.Fatal("assign failed")
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `knor_shardserve_request_seconds_count{rank="0"}`) {
+		t.Fatal("rank 0 carries no fan-out latency series")
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.Contains(line, `rank="1"`) && !strings.HasPrefix(line, "knor_federation_stale") {
+			t.Fatalf("in-process rank 1 repeats a process-wide series: %s", line)
+		}
+	}
+	var stats struct {
+		Ranks []struct {
+			Rank       int     `json:"rank"`
+			P50MS      float64 `json:"p50_ms"`
+			BytesTotal float64 `json:"bytes_total"`
+			Shards     float64 `json:"shards"`
+		} `json:"ranks"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/cluster/stats", &stats); code != http.StatusOK {
+		t.Fatalf("cluster/stats: %d", code)
+	}
+	if len(stats.Ranks) != 2 {
+		t.Fatalf("%d ranks, want 2", len(stats.Ranks))
+	}
+	if r1 := stats.Ranks[1]; r1.P50MS != 0 || r1.BytesTotal != 0 || r1.Shards <= 0 {
+		t.Errorf("rank 1 digest %+v: want no process-wide figures, shard copies > 0", r1)
+	}
+}
+
 // TestClusterStatsEndpoint: /v1/cluster/stats answers the per-rank
 // digest with latency quantiles and shard counts, never stale for the
 // local rank.
@@ -380,18 +431,21 @@ func TestClusterStatsEndpoint(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/cluster/stats", &stats); code != http.StatusOK {
 		t.Fatalf("cluster/stats: %d", code)
 	}
-	if len(stats.Ranks) != 1 {
-		t.Fatalf("simulated-machine mode reports %d ranks, want 1 (one process)", len(stats.Ranks))
+	if len(stats.Ranks) != 2 {
+		t.Fatalf("-machines 2 reports %d ranks, want 2 (one per machine)", len(stats.Ranks))
+	}
+	for i, r := range stats.Ranks {
+		if r.Rank != i || r.Stale {
+			t.Fatalf("rank %d digest: %+v", i, r)
+		}
+		// Replicas 2 over 2 machines: every rank holds a copy.
+		if r.Shards <= 0 {
+			t.Errorf("rank %d shard copies = %v, want > 0 after publish", i, r.Shards)
+		}
 	}
 	r0 := stats.Ranks[0]
-	if r0.Rank != 0 || r0.Stale {
-		t.Fatalf("rank 0 digest: %+v", r0)
-	}
 	if r0.P50MS <= 0 || r0.P99MS < r0.P50MS {
 		t.Errorf("latency quantiles not populated/ordered: p50=%v p99=%v", r0.P50MS, r0.P99MS)
-	}
-	if r0.Shards <= 0 {
-		t.Errorf("rank 0 shard copies = %v, want > 0 after publish", r0.Shards)
 	}
 }
 

@@ -31,7 +31,8 @@ type serverOptions struct {
 	nodes        int
 	publishEvery int
 	// machines shards every model's centroids across this many
-	// simulated machines (the -machines flag); 1 serves single-node.
+	// machines (the -machines flag); 1 serves single-node. Without a
+	// transport, machines 1..machines-1 run as in-process peers.
 	machines int
 	// replicas places every shard group on this many distinct machines
 	// (the -replicas flag): /assign fans out to the preferred replica
@@ -63,11 +64,18 @@ type serverOptions struct {
 	// request ID (the -access-log flag).
 	accessLog bool
 	// transport, when set, is a bootstrapped netcluster coordinator
-	// rank: the machines are real worker processes (ServePeer) instead
-	// of simulated in-process registries. Implies machines =
-	// transport.Size(); heartbeats arrive over the wire instead of the
-	// in-process pulse clock.
+	// rank (-listen): machines 1..M-1 are worker processes running
+	// ServePeer. Implies machines = transport.Size().
 	transport netcluster.Transport
+}
+
+// batcherOptions is the shard batcher configuration every machine
+// runs: machine 0's batcher behind the fan-out, in-process peers, and
+// worker processes (-join).
+func (o serverOptions) batcherOptions() serve.BatcherOptions {
+	return serve.BatcherOptions{
+		MaxBatch: o.maxBatch, MaxWait: o.maxWait, Threads: o.threads, Quantize: o.quantize,
+	}
 }
 
 // server wires the registry, the batched assignment path (single-node
@@ -79,15 +87,10 @@ type server struct {
 	batcher serve.Assigner
 	tracer  *telemetry.Tracer // nil unless -trace-sample > 0
 	// shards/topo are set when -machines > 1: the replicated shard
-	// layout and the membership layer healing it. pulseStop halts the
-	// health-pulse clock feeding the topology.
-	shards    *shardserve.ShardRegistry
-	topo      *topology.Topology
-	pulseStop func()
-	// hub is the coordinator side of a real cluster (-cluster mode):
-	// it pushes shard placements to worker peers and answers fan-out
-	// RPCs. nil in single-process and simulated-machine modes.
-	hub *shardserve.Hub
+	// layout (whose hub reaches the peers) and the membership layer
+	// healing it.
+	shards *shardserve.ShardRegistry
+	topo   *topology.Topology
 	// draining flips before the HTTP listener shuts down so /readyz
 	// turns the server away from load balancers while in-flight
 	// requests finish.
@@ -133,49 +136,33 @@ func newServer(opts serverOptions) (*server, error) {
 	if opts.traceEvery > 0 {
 		tracer = telemetry.NewTracer(opts.traceEvery, 16)
 	}
-	bopts := serve.BatcherOptions{
-		MaxBatch: opts.maxBatch, MaxWait: opts.maxWait, Threads: opts.threads,
-		ModelQuota: opts.quota, Tracer: tracer, Quantize: opts.quantize,
+	bopts := opts.batcherOptions()
+	bopts.ModelQuota, bopts.Tracer = opts.quota, tracer
+	transport := opts.transport
+	if transport == nil && opts.machines > 1 {
+		transport = shardserve.StartLocalPeers(opts.machines, shardserve.PeerOptions{Batcher: opts.batcherOptions()})
 	}
 	var batcher serve.Assigner
 	var shards *shardserve.ShardRegistry
 	var topo *topology.Topology
-	var pulseStop func()
-	var hub *shardserve.Hub
-	switch {
-	case opts.transport != nil:
-		// Real cluster: machine m is transport rank m. Machine 0 is
-		// this process; the rest are worker peers running ServePeer.
-		// Heartbeats arrive over the wire (hub demux), the hub's clock
-		// self-pulses machine 0 and sweeps, and shard placements are
-		// pushed to the owning peers on publish and rebalance.
-		m := opts.transport.Size()
+	if transport != nil {
+		// Machine m is transport rank m: machine 0 is this process, the
+		// rest are peers running ServePeer. Heartbeats arrive over the
+		// transport (hub demux), the hub's clock self-pulses machine 0
+		// and sweeps, and shard placements are pushed to the owning
+		// peers on publish and rebalance.
+		m := transport.Size()
 		topo = topology.New(topology.Config{Machines: m})
-		hub = shardserve.NewHub(opts.transport, 0)
 		shards = shardserve.NewShardRegistryWith(shardserve.Options{
-			Machines: m, Replicas: opts.replicas, Topology: topo, Remote: hub,
+			Machines: m, Replicas: opts.replicas, Topology: topo, Transport: transport,
 		})
 		if err := shards.Attach(reg); err != nil {
+			shards.Close()
 			topo.Close()
 			return nil, err
 		}
 		batcher = shardserve.NewAssigner(shards, bopts, opts.precision)
-		hub.Start(topo, shards)
-	case opts.machines > 1:
-		topo = topology.New(topology.Config{Machines: opts.machines})
-		shards = shardserve.NewShardRegistryWith(shardserve.Options{
-			Machines: opts.machines, Replicas: opts.replicas, Topology: topo,
-		})
-		if err := shards.Attach(reg); err != nil {
-			topo.Close()
-			return nil, err
-		}
-		batcher = shardserve.NewAssigner(shards, bopts, opts.precision)
-		// The production detection loop: every simulated machine whose
-		// process is "up" (kill switch off) pulses; machines that go
-		// silent are swept dead and their shards re-spread.
-		pulseStop = topo.StartClock(0, func(m int) bool { return !shards.MachineDown(m) })
-	default:
+	} else {
 		batcher = serve.NewAssigner(reg, bopts, opts.precision)
 	}
 	s := &server{
@@ -185,8 +172,6 @@ func newServer(opts serverOptions) (*server, error) {
 		tracer:    tracer,
 		shards:    shards,
 		topo:      topo,
-		pulseStop: pulseStop,
-		hub:       hub,
 		sweepStop: make(chan struct{}),
 		statePath: statePath,
 		streams:   map[string]*serve.StreamEngine{},
@@ -214,6 +199,7 @@ func newServer(opts serverOptions) (*server, error) {
 		}
 		eng, err := serve.ResumeStreamEngine(cp, reg)
 		if err != nil {
+			s.close()
 			return nil, fmt.Errorf("restore stream for %q: %w", m.Name, err)
 		}
 		s.streams[m.Name] = eng
@@ -311,14 +297,11 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 func (s *server) close() {
 	s.closeOnce.Do(func() {
 		close(s.sweepStop)
-		if s.pulseStop != nil {
-			s.pulseStop()
-		}
 		s.batcher.Close()
-		if s.hub != nil {
-			// Closes the transport too, which tells the worker peers'
-			// serve loops to exit.
-			s.hub.Close()
+		if s.shards != nil {
+			// Closes the transport too, which tells the peers' serve
+			// loops to exit.
+			s.shards.Close()
 		}
 		if s.topo != nil {
 			s.topo.Close()
@@ -410,7 +393,7 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// handleListMachines reports the simulated cluster: per-machine
+// handleListMachines reports the cluster: per-machine
 // liveness (both the kill switch and the membership layer's view) and
 // every shard group's replica health. 404 on a single-node server —
 // there is no cluster to inspect.
@@ -439,7 +422,7 @@ func (s *server) handleListMachines(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMachineAction kills or revives one simulated machine — the
+// handleMachineAction kills or revives one machine's kill switch — the
 // fault-injection surface behind the chaos experiments, and a handy
 // drain lever ("kill" stops routing to a machine immediately; its
 // shards fail over and the membership layer re-spreads them).
@@ -888,6 +871,10 @@ func nanToZero(v float64) float64 {
 	return v
 }
 
+// avgBatch is rows per flush. In sharded mode st.Flushes counts
+// machine 0's flushes only (see shardserve.AssignerOf.Stats), so the
+// figure is rows answered per machine-0 flush, not the peers' batch
+// size.
 func avgBatch(st serve.BatcherStats) float64 {
 	if st.Flushes == 0 {
 		return 0

@@ -120,6 +120,9 @@ const (
 	// request answered with a serialized snapshot (same seq) — the
 	// metrics-federation RPC behind GET /metrics/cluster.
 	FrameMetrics
+	// FrameFlush tells a serving peer to drain its batchers now (empty
+	// payload, one way: no reply).
+	FrameFlush
 	frameTypeMax
 )
 
@@ -152,6 +155,8 @@ func frameTypeName(t byte) string {
 		return "error"
 	case FrameMetrics:
 		return "metrics"
+	case FrameFlush:
+		return "flush"
 	default:
 		return "unknown"
 	}

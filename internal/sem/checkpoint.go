@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // Lightweight checkpointing, mirroring FlashGraph's in-memory failure
@@ -22,7 +23,7 @@ const ckptMagic = 0x4b43504b // "KCPK"
 var errBadCheckpoint = errors.New("sem: bad checkpoint file")
 
 // Checkpoint writes the engine's recoverable state to path atomically
-// (write to temp, rename).
+// and durably (write to temp, fsync, rename, fsync the directory).
 func (e *Engine) Checkpoint(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -53,14 +54,31 @@ func (e *Engine) Checkpoint(path string) error {
 	for _, c := range e.gsum.Count {
 		wr(uint64(c))
 	}
-	if err := w.Flush(); err != nil {
+	// Sync the file before the rename and the directory after it, so a
+	// crash at any point leaves either the old checkpoint or the whole
+	// new one, never a truncated one.
+	if err = w.Flush(); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // RestoreEngine loads a checkpoint into a freshly constructed engine.

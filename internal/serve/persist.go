@@ -135,7 +135,13 @@ func SaveState(r *Registry, streams []StreamCheckpoint, path string) error {
 		return fmt.Errorf("serve: save registry state: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
+	// Sync the file before the rename and the directory after it, so a
+	// crash at any point leaves either the old state file or the whole
+	// new one, never a truncated one.
+	if _, err = tmp.Write(buf); err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("serve: save registry state: %w", err)
 	}
@@ -145,8 +151,24 @@ func SaveState(r *Registry, streams []StreamCheckpoint, path string) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("serve: save registry state: %w", err)
+	}
 	telSnapshotSaves.Inc()
 	return nil
+}
+
+// syncDir flushes dir's entries — a rename into it — to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadRegistry rebuilds a registry from a state file written by

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"knor/internal/blas"
 	"knor/internal/cluster"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
+	"knor/internal/netcluster"
 	"knor/internal/serve"
 	"knor/internal/telemetry"
 )
@@ -36,8 +38,9 @@ const (
 	skewBackoff = 100 * time.Microsecond
 )
 
-// AssignerOf is the fan-out assignment router: one serve.BatcherOf per
-// machine over that machine's local registry, queries fanned out to
+// AssignerOf is the fan-out assignment router: machine 0's
+// serve.BatcherOf answers the shard groups placed on this process, and
+// every other machine is asked over the Hub — queries fanned out to
 // every shard group holding the model and folded into the global
 // argmin as the groups answer (cluster.CombineMin — associative and
 // commutative, so arrival order never changes the result).
@@ -55,7 +58,7 @@ const (
 // (ErrShardUnavailable).
 type AssignerOf[T blas.Float] struct {
 	sr   *ShardRegistry
-	bats []*serve.BatcherOf[T]
+	bat  *serve.BatcherOf[T] // machine 0
 	opts serve.BatcherOptions
 
 	mu       sync.Mutex
@@ -68,13 +71,14 @@ type AssignerOf[T blas.Float] struct {
 }
 
 // NewAssignerOf starts the sharded assignment path at element type T.
-// opts applies per shard batcher (MaxBatch, MaxWait, Threads);
-// ModelQuota is enforced here at the fan-out edge — a rejected request
-// must burn zero GEMM time on ANY shard — so the per-shard batchers
-// run unlimited, and RawSqDist is forced on for the shards (the
-// combiner clamps). The shard batchers also run Internal: the edge
-// instruments (request counts, latency, in-flight) are reported here,
-// once per request, never per shard. Close stops every shard batcher.
+// opts configures machine 0's shard batcher (MaxBatch, MaxWait,
+// Threads, Quantize); peers take theirs from PeerOptions. ModelQuota
+// is enforced here at the fan-out edge — a rejected request must burn
+// zero GEMM time on ANY shard — so the shard batcher runs unlimited,
+// and RawSqDist is forced on (the combiner clamps). The shard batcher
+// also runs Internal: the edge instruments (request counts, latency,
+// in-flight) are reported here, once per request, never per shard.
+// Close stops machine 0's batcher; the registry owns the peers.
 func NewAssignerOf[T blas.Float](sr *ShardRegistry, opts serve.BatcherOptions) *AssignerOf[T] {
 	shardOpts := opts
 	shardOpts.RawSqDist = true
@@ -86,10 +90,7 @@ func NewAssignerOf[T blas.Float](sr *ShardRegistry, opts serve.BatcherOptions) *
 		opts:     opts,
 		inflight: map[string]int{},
 	}
-	a.bats = make([]*serve.BatcherOf[T], sr.Machines())
-	for i := range a.bats {
-		a.bats[i] = serve.NewBatcherOf[T](sr.Registry(i), shardOpts)
-	}
+	a.bat = serve.NewBatcherOf[T](sr.Registry(0), shardOpts)
 	return a
 }
 
@@ -191,9 +192,10 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 
 	dispatch := time.Now()
 	answers := make(chan shardAnswer, shards)
+	var localTraced atomic.Bool
 	for s := 0; s < shards; s++ {
 		go func(s int) {
-			as, err := a.answerShard(model, s, plan, rows, tr)
+			as, err := a.answerShard(model, s, plan, rows, tr, &localTraced)
 			telShardSeconds.With(strconv.Itoa(s)).Observe(time.Since(dispatch).Seconds())
 			answers <- shardAnswer{shard: s, assigns: as, err: err}
 		}(s)
@@ -272,7 +274,7 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 // counts as a failover. All replicas hold identical centroid rows at
 // identical versions, so whichever answers first is THE answer. Only a
 // group with no answering replica errors, carrying its centroid range.
-func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
+func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix.Mat[T], tr *telemetry.Trace, localTraced *atomic.Bool) ([]serve.Assignment, error) {
 	var lastErr error
 	var skipped []int // replicas passed over as down
 	for i, m := range plan.Replicas[s] {
@@ -287,7 +289,7 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 			skipped = append(skipped, m)
 			continue
 		}
-		as, err := a.askReplica(model, s, m, rows, tr)
+		as, err := a.askReplica(model, s, m, rows, tr, localTraced)
 		if err == nil {
 			return as, nil
 		}
@@ -300,7 +302,7 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 		if a.sr.MachineDown(m) {
 			continue
 		}
-		as, err := a.askReplica(model, s, m, rows, tr)
+		as, err := a.askReplica(model, s, m, rows, tr, localTraced)
 		if err == nil {
 			return as, nil
 		}
@@ -313,25 +315,25 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 		ErrShardUnavailable, model, s, plan.Offsets[s], plan.Offsets[s+1], lastErr)
 }
 
-// askReplica answers shard group s on machine m.
-func (a *AssignerOf[T]) askReplica(model string, s, m int, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
+// askReplica answers shard group s on machine m. Machine 0 is this
+// process's batcher. Every other machine is a peer behind the hub: the
+// query rows' exact bits ride over the transport, the peer's batcher
+// answers from its pushed shard snapshot, and an RPC error (dead peer,
+// timeout) fails over like any replica error. A sampled trace rides to
+// the peers and comes back with their decode/GEMM/encode spans
+// stitched in; locally it goes through the batcher of the first group
+// answered here (localTraced), so the enqueue/coalesce/GEMM stages
+// appear once.
+func (a *AssignerOf[T]) askReplica(model string, s, m int, rows *matrix.Mat[T], tr *telemetry.Trace, localTraced *atomic.Bool) ([]serve.Assignment, error) {
 	key := ShardKey(model, s)
-	switch {
-	case a.sr.remote != nil && !a.sr.remote.LocalMachine(m):
-		// Cluster mode: machine m is a peer process — the query rows'
-		// exact bits ride over the transport and the peer's batcher
-		// answers from its pushed shard snapshot. An RPC error (dead
-		// peer, timeout) fails over like any replica error. A sampled
-		// trace rides along and comes back with the worker's
-		// decode/GEMM/encode spans stitched in.
-		return remoteAssignBatch(a.sr.remote, m, key, rows, tr)
-	case s == 0:
-		// A sampled trace rides through group 0's batcher so the dump
-		// shows the enqueue/coalesce/GEMM stages in-shard.
-		return a.bats[m].AssignBatchTraced(key, rows, tr)
-	default:
-		return a.bats[m].AssignBatch(key, rows)
+	if m != 0 {
+		payload := netcluster.AppendFloats(nil, rows.Data)
+		return a.sr.hub.AssignRemote(m, key, byte(blas.ElemBytes[T]()), rows.Rows(), rows.Cols(), payload, tr)
 	}
+	if tr != nil && !localTraced.CompareAndSwap(false, true) {
+		tr = nil
+	}
+	return a.bat.AssignBatchTraced(key, rows, tr)
 }
 
 // Failovers reports how many times a fan-out passed over a shard
@@ -348,26 +350,21 @@ func (a *AssignerOf[T]) AssignRows(model string, rows *matrix.Dense) ([]serve.As
 	return a.AssignBatch(model, matrix.Convert[T](rows))
 }
 
-// Stats aggregates the fan-out edge's counters and latency quantiles
-// (read from knor_shardserve_request_seconds) with the shard batchers'
-// flush counts. Every request is replicated
-// to all shards, so Flushes and Queued report the busiest shard (the
-// logical flush/queue count), not the M-inflated sum — avg_batch and
-// queue-depth readings stay comparable with the single-node batcher.
+// Stats reports the fan-out edge's counters and latency quantiles
+// (read from knor_shardserve_request_seconds). Flushes and Queued cover
+// machine 0's batcher only — not the fan-out's logical flush count:
+// peers batch their shares independently and count their flushes in
+// their own process's knor_serve_flushes_total. When machine 0 holds
+// no shard group (killed, or placed around), both stop moving while
+// the peers do the work.
 func (a *AssignerOf[T]) Stats() serve.BatcherStats {
+	bst := a.bat.Stats()
 	st := serve.BatcherStats{
 		Requests: a.requests.Load(),
 		Rows:     a.rows.Load(),
 		Rejected: a.rejected.Load(),
-	}
-	for _, b := range a.bats {
-		bst := b.Stats()
-		if bst.Flushes > st.Flushes {
-			st.Flushes = bst.Flushes
-		}
-		if bst.Queued > st.Queued {
-			st.Queued = bst.Queued
-		}
+		Flushes:  bst.Flushes,
+		Queued:   bst.Queued,
 	}
 	return st.WithLatency(telRequestSeconds)
 }
@@ -384,24 +381,20 @@ func (a *AssignerOf[T]) InFlight() map[string]int {
 	return out
 }
 
-// Flush synchronously answers everything queued on every shard.
+// Flush synchronously answers everything queued on machine 0 and tells
+// every peer whose kill switch is up to drain its batchers (one way: a
+// peer request still in decode when the FrameFlush lands waits for the
+// next flush or MaxWait).
 func (a *AssignerOf[T]) Flush() {
-	for _, b := range a.bats {
-		b.Flush()
+	a.bat.Flush()
+	for m := 1; m < a.sr.Machines(); m++ {
+		if !a.sr.MachineDown(m) {
+			_ = a.sr.hub.Flush(m) // a dead peer has nothing to drain
+		}
 	}
 }
 
-// Close rejects new requests and stops every shard batcher.
-func (a *AssignerOf[T]) Close() {
-	var wg sync.WaitGroup
-	for _, b := range a.bats {
-		wg.Add(1)
-		go func(b *serve.BatcherOf[T]) {
-			defer wg.Done()
-			b.Close()
-		}(b)
-	}
-	wg.Wait()
-}
+// Close rejects new requests and stops machine 0's batcher.
+func (a *AssignerOf[T]) Close() { a.bat.Close() }
 
 var _ serve.Assigner = (*AssignerOf[float64])(nil)

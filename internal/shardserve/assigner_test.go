@@ -12,6 +12,7 @@ import (
 
 func TestAssignerUnknownModel(t *testing.T) {
 	sr := NewShardRegistry(2)
+	defer sr.Close()
 	a := NewAssignerOf[float64](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
 	defer a.Close()
 	if _, err := a.AssignBatch("ghost", matrix.NewDense(1, 3)); err == nil {
@@ -24,6 +25,7 @@ func TestAssignerUnknownModel(t *testing.T) {
 // shard burns GEMM time, then recovers once the first drains.
 func TestAssignerQuota(t *testing.T) {
 	sr := NewShardRegistry(2)
+	defer sr.Close()
 	if _, err := sr.Publish("m", seqCentroids(4, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +102,7 @@ func assignNudged(t *testing.T, a *AssignerOf[float64], model string) {
 
 func TestAssignerStats(t *testing.T) {
 	sr := NewShardRegistry(3)
+	defer sr.Close()
 	if _, err := sr.Publish("m", seqCentroids(6, 4, 0)); err != nil {
 		t.Fatal(err)
 	}

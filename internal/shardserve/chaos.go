@@ -1,10 +1,12 @@
 package shardserve
 
 // Chaos harness: drive the replicated fan-out with workload.QueryStream
-// traffic while a seeded, deterministic kill schedule takes simulated
-// machines down and brings them back, and hold every answer that does
-// arrive to the single-node oracle — bit-identical Cluster, SqDist and
-// Version, or it counts as Wrong. The harness is the proof behind the
+// traffic while a seeded, deterministic kill schedule takes machines
+// down and brings them back, and hold every answer that does arrive to
+// the single-node oracle — bit-identical Cluster, SqDist and Version,
+// or it counts as Wrong. Machines 1..M-1 are in-process peers behind
+// the hub (StartLocalPeers), so every answer they give crosses the
+// wire codec. The harness is the proof behind the
 // replication layer: availability may degrade under faults (counted,
 // bounded by the tests), correctness may not.
 //
@@ -246,17 +248,29 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cents := chaosCentroids(cfg.K, cfg.D, rng)
 
-	opts := Options{Machines: cfg.Machines, Replicas: cfg.Replicas}
+	// Every machine, peers included, runs the same shard batcher
+	// options, so under Quantize the peers scan quantized too.
+	bopts := serve.BatcherOptions{MaxWait: time.Microsecond, Quantize: cfg.Quantize}
+	opts := Options{
+		Machines: cfg.Machines, Replicas: cfg.Replicas,
+		Transport: StartLocalPeers(cfg.Machines, PeerOptions{Batcher: bopts}),
+	}
 	if cfg.Heal {
-		topo := topology.New(topology.Config{Machines: cfg.Machines})
+		// Membership moves on the seeded schedule alone (Kill and Revive
+		// mark it explicitly). The hub still routes peer pulses and
+		// sweeps on its wall clock, so the pulse window outlasts any run:
+		// a pulse delayed under load must not sweep a machine dead that
+		// the seed kept up.
+		topo := topology.New(topology.Config{Machines: cfg.Machines, PulseTimeout: time.Hour})
 		defer topo.Close()
 		opts.Topology = topo
 	}
 	sr := NewShardRegistryWith(opts)
+	defer sr.Close()
 	if _, err := PublishOf(sr, "chaos", matrix.Convert[T](cents)); err != nil {
 		return stats, err
 	}
-	asn := NewAssignerOf[T](sr, serve.BatcherOptions{MaxWait: time.Microsecond, Quantize: cfg.Quantize})
+	asn := NewAssignerOf[T](sr, bopts)
 	defer asn.Close()
 
 	// The oracle: a single-node batcher over the same snapshots,

@@ -75,6 +75,7 @@ func TestChaosKillEachMachine(t *testing.T) {
 			oracle := serve.NewBatcherOf[float64](oreg, serve.BatcherOptions{MaxWait: time.Microsecond})
 			defer oracle.Close()
 			sr := NewShardRegistryWith(Options{Machines: 3, Replicas: 2})
+			defer sr.Close()
 			if _, err := sr.Publish("m", cents); err != nil {
 				t.Fatal(err)
 			}
@@ -146,6 +147,8 @@ func TestChaosUnavailableConfined(t *testing.T) {
 	centsB, queriesB := parityCase(2, 5, 24, *chaosSeed+1)
 
 	sr := NewShardRegistryWith(Options{Machines: 3, Replicas: 1})
+
+	defer sr.Close()
 	for name, c := range map[string]*matrix.Dense{"a": centsA, "b": centsB} {
 		if _, err := sr.Publish(name, c); err != nil {
 			t.Fatal(err)
@@ -213,7 +216,8 @@ func TestChaosUnavailableConfined(t *testing.T) {
 // time every group keeps a live replica, so no call may error and no
 // answer may carry an out-of-range index.
 func TestChaosPublishRaceFailover(t *testing.T) {
-	sr := NewShardRegistryWith(Options{Machines: 4, Replicas: 2})
+	sr := NewShardRegistryWith(Options{Machines: 4, Replicas: 2, Transport: StartLocalPeers(4, quickPeers)})
+	defer sr.Close()
 	if _, err := sr.Publish("m", seqCentroids(8, 4, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +308,48 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		a.Rows != b.Rows || a.Errors != b.Errors || a.Wrong != b.Wrong ||
 		a.Versions != b.Versions {
 		t.Fatalf("observations diverge:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestChaosHealDeterministicReplay is the replay check for the healing
+// path: a topology-attached run (with the hub's pulses and sweep clock
+// live beside the seeded Kill/Revive transitions) must execute the same
+// schedule and observe the same counts on every run of a seed. A
+// transition the seed did not cause — a stale pulse reviving a killed
+// machine — places shard groups on a machine whose kill switch is down,
+// and the run fails to settle. (SpreadBytes is not compared: whether a
+// revival's re-spread lands before or after the next publish is timing,
+// not schedule.)
+func TestChaosHealDeterministicReplay(t *testing.T) {
+	cfg := ChaosConfig{
+		Machines: 4, Replicas: 2, MaxDead: 2,
+		Heal: true, Settle: true,
+		KillEvery: 2, DeadFor: 3, Rounds: 12, PublishEvery: 5,
+		Precision: kmeans.Precision64, Seed: *chaosSeed,
+	}
+	a, err := RunChaos(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunChaos(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Events) != len(b.Events) {
+		t.Fatalf("schedules diverge: %v vs %v", a.Events, b.Events)
+	}
+	for i := range a.Events {
+		if a.Events[i] != b.Events[i] {
+			t.Fatalf("event %d diverges: %+v vs %+v", i, a.Events[i], b.Events[i])
+		}
+	}
+	if a.Kills != b.Kills || a.Revives != b.Revives || a.Rounds != b.Rounds ||
+		a.Rows != b.Rows || a.Errors != b.Errors || a.Wrong != b.Wrong ||
+		a.Versions != b.Versions {
+		t.Fatalf("observations diverge:\n%+v\n%+v", a, b)
+	}
+	if a.Kills == 0 || a.Wrong != 0 || a.FinalWrong != 0 {
+		t.Fatalf("heal run: %d kills, %d wrong, %d final wrong", a.Kills, a.Wrong, a.FinalWrong)
 	}
 }
 

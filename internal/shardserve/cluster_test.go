@@ -82,16 +82,15 @@ func startServeCluster(t *testing.T, m, replicas int) *serveCluster {
 	}
 	c.reg = serve.NewRegistry(1)
 	c.topo = topology.New(topology.Config{Machines: m, PulseTimeout: time.Second})
-	c.hub = NewHub(c.ts[0], 5*time.Second)
 	c.sr = NewShardRegistryWith(Options{
-		Machines: m, Replicas: replicas, Topology: c.topo, Remote: c.hub,
+		Machines: m, Replicas: replicas, Topology: c.topo, Transport: c.ts[0],
 	})
+	c.hub = c.sr.Hub()
 	if err := c.sr.Attach(c.reg); err != nil {
 		t.Fatal(err)
 	}
-	c.hub.Start(c.topo, c.sr)
 	t.Cleanup(func() {
-		c.hub.Close()
+		c.sr.Close()
 		for _, tr := range c.ts {
 			tr.Close()
 		}

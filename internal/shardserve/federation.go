@@ -14,6 +14,11 @@ import (
 // error or timeout (FetchMetrics caps its own deadline) degrades that
 // rank to a stale marker instead of failing the scrape.
 //
+// Peers started by StartLocalPeers share this process and its
+// registry: their work is already in rank 0's snapshot, so their
+// entries carry no families (stale when their kill switch is down)
+// instead of repeating rank 0's series under every rank.
+//
 // hub may be nil (single-process mode): the result is rank 0 alone.
 func FederateMetrics(hub *Hub, sr *ShardRegistry, local *telemetry.Registry) []telemetry.RankSnapshot {
 	if local == nil {
@@ -24,12 +29,16 @@ func FederateMetrics(hub *Hub, sr *ShardRegistry, local *telemetry.Registry) []t
 		return snaps
 	}
 	size := hub.tr.Size()
+	_, shared := hub.tr.(*localPeers)
 	rest := make([]telemetry.RankSnapshot, size-1)
 	var wg sync.WaitGroup
 	for r := 1; r < size; r++ {
 		rest[r-1].Rank = r
 		if sr != nil && sr.MachineDown(r) {
 			rest[r-1].Stale = true
+			continue
+		}
+		if shared {
 			continue
 		}
 		wg.Add(1)

@@ -12,23 +12,24 @@ import (
 	"knor/internal/topology"
 )
 
-// Hub is the coordinator side of a real (multi-process) serving
-// cluster: it owns the netcluster transport's coordinator rank, pushes
-// shard placements to worker peers (the Remote implementation a
-// ShardRegistry drives), answers fan-out RPCs by matching
-// FrameAssignResp sequence numbers to in-flight FrameAssignReq calls,
-// and feeds the membership layer — worker FramePulse heartbeats route
-// into topology.Pulse, a local ticker self-pulses machine 0 and sweeps,
-// and a peer whose connection drops is marked dead immediately (the
-// fast path; the pulse timeout covers hangs that keep the socket open).
+// Hub is the coordinator side of a serving cluster: it owns the
+// netcluster transport's coordinator rank, pushes shard placements to
+// worker peers, answers fan-out RPCs by matching FrameAssignResp
+// sequence numbers to in-flight FrameAssignReq calls, and feeds the
+// membership layer — worker FramePulse heartbeats route into
+// topology.Pulse, a local ticker self-pulses machine 0 and sweeps, and
+// a peer whose connection drops is marked dead immediately (the fast
+// path; the pulse timeout covers hangs that keep the socket open).
 //
 // Machine index m is transport rank m: machine 0 is the coordinator
-// itself (served in-process), machines 1..M-1 are worker processes
-// running ServePeer.
+// itself (served in-process), machines 1..M-1 run ServePeer — as
+// worker processes over TCP, or as goroutines over a SimGroup
+// (StartLocalPeers). Either way every non-coordinator machine is
+// reached only through frames. A ShardRegistry built with Machines > 1
+// creates and owns its Hub.
 type Hub struct {
-	tr   netcluster.Transport
-	topo *topology.Topology
-	sr   *ShardRegistry
+	tr netcluster.Transport
+	sr *ShardRegistry
 
 	// rpcTimeout bounds one assign RPC; a peer that neither answers nor
 	// drops its connection within it counts as failed and the fan-out
@@ -46,8 +47,8 @@ type Hub struct {
 }
 
 // NewHub wraps the coordinator rank of a bootstrapped transport.
-// rpcTimeout <= 0 defaults to 10s. Call Start once the topology and
-// shard registry exist, and Close before closing the transport.
+// rpcTimeout <= 0 defaults to 10s. Start begins serving; Close also
+// closes the transport.
 func NewHub(tr netcluster.Transport, rpcTimeout time.Duration) *Hub {
 	if tr.Rank() != 0 {
 		panic("shardserve: hub must run on the coordinator rank")
@@ -63,24 +64,27 @@ func NewHub(tr netcluster.Transport, rpcTimeout time.Duration) *Hub {
 	}
 }
 
-// Start attaches the membership layer and begins serving: one demux
-// goroutine per worker peer (routing pulses and RPC responses) and the
-// coordinator's own pulse/sweep clock. sr's kill switch gates pulses,
-// so an API "kill" silences a machine exactly like a dead process.
-func (h *Hub) Start(topo *topology.Topology, sr *ShardRegistry) {
-	h.topo = topo
+// Start begins serving sr: one demux goroutine per worker peer
+// (routing pulses and RPC responses) and, when sr has a topology, the
+// coordinator's own pulse/sweep clock. Pulses go through sr.pulse,
+// which the kill switch gates, so an API "kill" silences a machine
+// exactly like a dead process. Without a topology, pulses are dropped
+// and nothing is ever marked dead: liveness is then the kill switch
+// alone.
+func (h *Hub) Start(sr *ShardRegistry) {
 	h.sr = sr
 	for r := 1; r < h.tr.Size(); r++ {
 		h.wg.Add(1)
 		go h.demux(r)
 	}
-	h.wg.Add(1)
-	go h.clock()
+	if sr.topo != nil {
+		h.wg.Add(1)
+		go h.clock()
+	}
 }
 
 // clock self-pulses the coordinator machine and sweeps silent machines
-// dead, at a quarter of the pulse timeout (the same cadence
-// topology.StartClock uses).
+// dead, at a quarter of the pulse timeout.
 func (h *Hub) clock() {
 	defer h.wg.Done()
 	tick := time.NewTicker(topology.DefaultPulseTimeout / 4)
@@ -88,10 +92,8 @@ func (h *Hub) clock() {
 	for {
 		select {
 		case now := <-tick.C:
-			if !h.sr.MachineDown(0) {
-				h.topo.Pulse(0, now)
-			}
-			h.topo.Sweep(now)
+			h.sr.pulse(0, now)
+			h.sr.topo.Sweep(now)
 		case <-h.stop:
 			return
 		}
@@ -114,15 +116,15 @@ func (h *Hub) demux(r int) {
 			default:
 				telemetry.Log("netcluster", telemetry.SevWarn, "peer connection lost",
 					telemetry.F("rank", r))
-				h.topo.MarkDead(r)
+				if h.sr.topo != nil {
+					h.sr.topo.MarkDead(r)
+				}
 			}
 			return
 		}
 		switch f.Type {
 		case netcluster.FramePulse:
-			if !h.sr.MachineDown(r) {
-				h.topo.Pulse(r, time.Now())
-			}
+			h.sr.pulse(r, time.Now())
 		case netcluster.FrameAssignResp, netcluster.FrameMetrics:
 			h.mu.Lock()
 			ch, ok := h.pending[rpcKey(r, f.Seq)]
@@ -192,11 +194,10 @@ func (h *Hub) callTimeout(m int, f *netcluster.Frame, timeout time.Duration) (*n
 	}
 }
 
-// LocalMachine implements Remote: machine 0 is the coordinator.
-func (h *Hub) LocalMachine(m int) bool { return m == 0 }
-
-// AssignRemote implements Remote: one FrameAssignReq/FrameAssignResp
-// round trip to machine m's process. A sampled trace's context rides
+// AssignRemote answers query rows against one shard snapshot on
+// machine m: one FrameAssignReq/FrameAssignResp round trip. elem tags
+// the row payload's element width (4 or 8); rows is nrows×d values
+// encoded with AppendFloats. A sampled trace's context rides
 // as the frame's trace extension; the peer answers with its
 // worker-local spans (decode → shard GEMM → encode) as offsets from
 // its request receipt, and they are stitched into tr here anchored at
@@ -244,9 +245,9 @@ func (h *Hub) FetchMetrics(m int) ([]telemetry.SnapshotFamily, error) {
 	return netcluster.DecodeSnapshot(resp.Payload)
 }
 
-// RestoreRemote implements Remote: push one shard snapshot to machine
-// m's process (fire and forget — the peer installs it in arrival
-// order, and the fan-out's version check catches any lag).
+// RestoreRemote pushes one shard snapshot to machine m (fire and
+// forget — the peer installs it in arrival order, and the fan-out's
+// version check catches any lag).
 func (h *Hub) RestoreRemote(m int, key string, version, node int, elem byte, krows, d int, payload []byte) error {
 	return h.tr.Send(m, &netcluster.Frame{
 		Type: netcluster.FrameShard, Elem: elem,
@@ -254,12 +255,17 @@ func (h *Hub) RestoreRemote(m int, key string, version, node int, elem byte, kro
 	})
 }
 
-// DropRemote implements Remote: retire a shard copy from machine m.
+// DropRemote retires a shard copy from machine m.
 func (h *Hub) DropRemote(m int, key string) error {
 	return h.tr.Send(m, &netcluster.Frame{
 		Type:    netcluster.FrameShardDrop,
 		Payload: netcluster.AppendString(nil, key),
 	})
+}
+
+// Flush tells machine m to drain its batchers now (one way, no reply).
+func (h *Hub) Flush(m int) error {
+	return h.tr.Send(m, &netcluster.Frame{Type: netcluster.FrameFlush})
 }
 
 // Close stops the clock, aborts in-flight RPCs, and closes the
@@ -269,5 +275,3 @@ func (h *Hub) Close() {
 	h.tr.Close()
 	h.wg.Wait()
 }
-
-var _ Remote = (*Hub)(nil)

@@ -66,6 +66,8 @@ func runParity[T blas.Float](t *testing.T, machines, k, d, nq int, seed int64) {
 	defer single.Close()
 
 	sr := NewShardRegistry(machines)
+
+	defer sr.Close()
 	if _, err := sr.Publish("m", cents); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +121,12 @@ func TestShardParity(t *testing.T) {
 	}
 }
 
+// quickPeers configures in-process peers to flush as soon as a request
+// lands, like the MaxWait 1µs assigners of the publish-race tests: a
+// fan-out then finishes well inside one publish period, which is what
+// those tests' skew-retry budget assumes.
+var quickPeers = PeerOptions{Batcher: serve.BatcherOptions{MaxWait: time.Microsecond}}
+
 // TestAssignerConcurrentRepublish hammers AssignBatch while a writer
 // republishes with alternating k (8 ↔ 3 over 5 machines, so every
 // other publish drops shards from the tail machines). Any fan-out
@@ -126,7 +134,8 @@ func TestShardParity(t *testing.T) {
 // version-skew retry — never surface "unknown model" for a model that
 // exists, and never return an out-of-range global index.
 func TestAssignerConcurrentRepublish(t *testing.T) {
-	sr := NewShardRegistry(5)
+	sr := NewShardRegistryWith(Options{Machines: 5, Transport: StartLocalPeers(5, quickPeers)})
+	defer sr.Close()
 	if _, err := sr.Publish("m", seqCentroids(8, 4, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +194,7 @@ func TestShardParityAcrossRepublish(t *testing.T) {
 
 	reg := serve.NewRegistry(1)
 	sr := NewShardRegistry(3)
+	defer sr.Close()
 	for _, c := range []*matrix.Dense{cents1, cents2} {
 		if _, err := reg.Publish("m", c); err != nil {
 			t.Fatal(err)

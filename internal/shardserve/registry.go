@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"knor/internal/blas"
 	"knor/internal/dist"
@@ -15,12 +16,15 @@ import (
 	"knor/internal/topology"
 )
 
-// ShardRegistry keeps M per-machine serve.Registry instances in
-// lockstep: every published model is split into contiguous centroid-row
-// shards (dist.Partition over the k rows) and each shard is restored
-// into R machines' registries under the same shard key and the SAME
-// version number. Each machine registry is an ordinary copy-on-write
-// serve.Registry, so per-machine batchers get the single-node snapshot
+// ShardRegistry keeps M machines' shard registries in lockstep: every
+// published model is split into contiguous centroid-row shards
+// (dist.Partition over the k rows) and each shard is restored into R
+// machines' registries under the same shard key and the SAME version
+// number. Machine 0's registry lives here and backs its batcher; every
+// other machine is a ServePeer that receives its shards as FrameShard
+// pushes through the Hub, while a coordinator-side registry per machine
+// keeps the version bookkeeping. Each is an ordinary copy-on-write
+// serve.Registry, so every batcher gets the single-node snapshot
 // guarantees for free; the plan table maps shard-local argmins back to
 // global centroid indices and lists each shard's replica machines in
 // preference order.
@@ -40,19 +44,20 @@ type ShardRegistry struct {
 	machines int
 	replicas int
 	topo     *topology.Topology
-	remote   Remote
+	// hub reaches machines 1..M-1, which are ServePeers behind the
+	// transport; nil on a one-machine registry.
+	hub *Hub
 
 	regs []*serve.Registry
-	// down[m] is the fault-injection kill switch: a down machine's
-	// batcher is never consulted (its calls would time out in a real
-	// cluster), independent of whether the topology has detected the
-	// death yet — that lag is exactly the window the fan-out's failover
-	// covers.
+	// down[m] is the fault-injection kill switch: a down machine is
+	// never consulted (its calls would time out in a real cluster),
+	// independent of whether the topology has detected the death yet —
+	// that lag is exactly the window the fan-out's failover covers.
 	down []atomic.Bool
 
 	// spreadBytes counts centroid payload bytes actually copied into
 	// machine registries by publishes, mirrors and healing re-spreads —
-	// the simulated network cost of moving shard data. Restores skipped
+	// the network cost of moving shard data. Restores skipped
 	// because a machine already holds the shard at that version don't
 	// count; 4-byte (float32) models move half the bytes of 8-byte ones.
 	spreadBytes atomic.Uint64
@@ -121,7 +126,8 @@ func canonOf[T blas.Float](version, node int, centroids *matrix.Mat[T]) canonMod
 
 // Options configure a ShardRegistry.
 type Options struct {
-	// Machines is the simulated machine count (>= 1).
+	// Machines is the machine count (>= 1). Machine 0 is this process;
+	// machines 1..Machines-1 are ServePeers reached over Transport.
 	Machines int
 	// Replicas is the replication factor R: every shard is restored
 	// into min(R, live machines) distinct machines. Values < 1 mean 1
@@ -134,18 +140,22 @@ type Options struct {
 	// caller retains ownership and must Close it after the registry is
 	// done serving.
 	Topology *topology.Topology
-	// Remote, when set, maps non-local machine indices to real peer
-	// processes (cluster mode): restores and drops for those machines
-	// are additionally pushed over the transport, and the fan-out
-	// answers their shard groups by RPC instead of an in-process
-	// batcher. Push errors are non-fatal (a dead peer must not abort
-	// the rebalance that is routing around it); they are counted in
-	// knor_shardserve_push_errors_total.
-	Remote Remote
+	// Transport is the coordinator rank (rank 0) of a Machines-rank
+	// cluster whose ranks 1..Machines-1 run ServePeer: worker processes
+	// over TCP, or StartLocalPeers' in-process SimGroup. When nil and
+	// Machines > 1, the registry starts StartLocalPeers(Machines,
+	// PeerOptions{}) itself. The registry's Hub owns the transport:
+	// restores and drops for machines m != 0 are pushed over it, and
+	// the fan-out answers their shard groups by RPC. Push errors are
+	// non-fatal (a dead peer must not abort the rebalance that is
+	// routing around it); they are counted in
+	// knor_shardserve_push_errors_total. Close closes the transport.
+	Transport netcluster.Transport
 }
 
 // NewShardRegistry builds an empty sharded registry over the given
-// machine count with no replication — the single-copy layout.
+// machine count with no replication — the single-copy layout — with
+// machines 1..machines-1 served by in-process peers.
 func NewShardRegistry(machines int) *ShardRegistry {
 	return NewShardRegistryWith(Options{Machines: machines})
 }
@@ -166,7 +176,6 @@ func NewShardRegistryWith(opts Options) *ShardRegistry {
 		machines: opts.Machines,
 		replicas: r,
 		topo:     opts.Topology,
-		remote:   opts.Remote,
 		down:     make([]atomic.Bool, opts.Machines),
 		splits:   map[string]*split{},
 		canon:    map[string]canonModel{},
@@ -178,7 +187,27 @@ func NewShardRegistryWith(opts Options) *ShardRegistry {
 	if sr.topo != nil {
 		sr.topo.Subscribe(func(topology.Event) { sr.rebalance() })
 	}
+	tr := opts.Transport
+	if tr == nil && opts.Machines > 1 {
+		tr = StartLocalPeers(opts.Machines, PeerOptions{})
+	}
+	if tr != nil {
+		if tr.Size() != opts.Machines {
+			panic(fmt.Sprintf("shardserve: transport has %d ranks for %d machines", tr.Size(), opts.Machines))
+		}
+		sr.hub = NewHub(tr, 0)
+		sr.hub.Start(sr)
+	}
 	return sr
+}
+
+// Close stops the hub and closes the transport, which stops the peers
+// started by StartLocalPeers (worker processes see their coordinator
+// go away). A no-op on a one-machine registry.
+func (sr *ShardRegistry) Close() {
+	if sr.hub != nil {
+		sr.hub.Close()
+	}
 }
 
 // Machines returns the machine count.
@@ -187,12 +216,13 @@ func (sr *ShardRegistry) Machines() int { return sr.machines }
 // Replicas returns the replication factor R.
 func (sr *ShardRegistry) Replicas() int { return sr.replicas }
 
-// Remote returns the cluster-mode peer seam, nil on a single-process
-// registry.
-func (sr *ShardRegistry) Remote() Remote { return sr.remote }
+// Hub returns the coordinator hub reaching machines 1..M-1, nil on a
+// one-machine registry.
+func (sr *ShardRegistry) Hub() *Hub { return sr.hub }
 
-// Registry returns machine i's local registry (for wiring per-machine
-// batchers). Shards live in it under ShardKey(model, shard).
+// Registry returns the coordinator's bookkeeping registry for machine
+// i: the shard versions the plan placed there (machine 0's also backs
+// its batcher). Shards live in it under ShardKey(model, shard).
 func (sr *ShardRegistry) Registry(i int) *serve.Registry { return sr.regs[i] }
 
 // ShardKey names shard s of a model inside a machine's local registry.
@@ -225,6 +255,16 @@ func (sr *ShardRegistry) Revive(m int) {
 
 // MachineDown reports machine m's kill switch.
 func (sr *ShardRegistry) MachineDown(m int) bool { return sr.down[m].Load() }
+
+// pulse feeds machine m's health pulse, observed at the given time, to
+// the topology unless m's kill switch is down. A pulse that passed the
+// check just before Kill cannot revive the killed machine: Kill's
+// MarkDead holds it dead until Revive.
+func (sr *ShardRegistry) pulse(m int, at time.Time) {
+	if sr.topo != nil && !sr.down[m].Load() {
+		sr.topo.Pulse(m, at)
+	}
+}
 
 // Plan is one model's current serving layout, the unit a fan-out
 // operates on: all three fields must describe the same (version, gen)
@@ -401,19 +441,19 @@ func (sr *ShardRegistry) restoreLocked(name string, cm canonModel) error {
 			if err != nil {
 				return err
 			}
-			// Cluster mode: machine m is a peer process — push the shard
-			// payload to it too. The local restore above stays the
-			// version bookkeeping (and the canonical fallback the next
-			// rebalance re-pushes from); a push to a dead peer fails
-			// non-fatally, since healing is exactly what routes around it.
-			if sr.remote != nil && !sr.remote.LocalMachine(m) {
+			// Machine m != 0 is a peer — push the shard payload to it.
+			// The local restore above stays the version bookkeeping (and
+			// the canonical fallback the next rebalance re-pushes from);
+			// a push to a dead peer fails non-fatally, since healing is
+			// exactly what routes around it.
+			if m != 0 {
 				var payload []byte
 				if cm.elem == 4 {
 					payload = netcluster.AppendFloats(nil, cm.c32.Data[p.Lo*d:p.Hi*d])
 				} else {
 					payload = netcluster.AppendFloats(nil, cm.c64.Data[p.Lo*d:p.Hi*d])
 				}
-				if perr := sr.remote.RestoreRemote(m, key, cm.version, cm.node, byte(cm.elem), p.Rows(), d, payload); perr != nil {
+				if perr := sr.hub.RestoreRemote(m, key, cm.version, cm.node, byte(cm.elem), p.Rows(), d, payload); perr != nil {
 					telPushErrors.Inc()
 				}
 			}
@@ -583,11 +623,11 @@ func (sr *ShardRegistry) Drop(name string) {
 }
 
 // dropCopyLocked removes machine m's copy of a shard key, mirroring
-// the drop to m's peer process in cluster mode. Caller holds sr.mu.
+// the drop to m's peer when m != 0. Caller holds sr.mu.
 func (sr *ShardRegistry) dropCopyLocked(m int, key string) {
 	sr.regs[m].Drop(key)
-	if sr.remote != nil && !sr.remote.LocalMachine(m) {
-		if err := sr.remote.DropRemote(m, key); err != nil {
+	if m != 0 {
+		if err := sr.hub.DropRemote(m, key); err != nil {
 			telPushErrors.Inc()
 		}
 	}

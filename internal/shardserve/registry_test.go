@@ -22,6 +22,7 @@ func seqCentroids(k, d int, base float64) *matrix.Dense {
 
 func TestShardRegistrySplit(t *testing.T) {
 	sr := NewShardRegistry(3)
+	defer sr.Close()
 	cents := seqCentroids(7, 4, 0)
 	v, err := sr.Publish("m", cents)
 	if err != nil {
@@ -72,6 +73,7 @@ func TestShardRegistrySplit(t *testing.T) {
 // model so no stale snapshot can answer.
 func TestShardRegistryRebalance(t *testing.T) {
 	sr := NewShardRegistry(4)
+	defer sr.Close()
 	if _, err := sr.Publish("m", seqCentroids(8, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +119,8 @@ func TestShardRegistryAttach(t *testing.T) {
 	}
 
 	sr := NewShardRegistry(2)
+
+	defer sr.Close()
 	if err := sr.Attach(primary); err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +157,7 @@ func TestShardRegistryAttach(t *testing.T) {
 
 func TestShardRegistryDrop(t *testing.T) {
 	sr := NewShardRegistry(2)
+	defer sr.Close()
 	if _, err := sr.Publish("m", seqCentroids(4, 2, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +174,7 @@ func TestShardRegistryDrop(t *testing.T) {
 
 func TestShardRegistryErrors(t *testing.T) {
 	sr := NewShardRegistry(2)
+	defer sr.Close()
 	if _, err := sr.Publish("m", nil); err == nil {
 		t.Error("nil centroids accepted")
 	}
@@ -189,6 +195,7 @@ func TestShardRegistryErrors(t *testing.T) {
 
 func ExampleShardRegistry() {
 	sr := NewShardRegistry(3)
+	defer sr.Close()
 	cents := seqCentroids(10, 4, 0)
 	v, _ := sr.Publish("users", cents)
 	_, offsets, _ := sr.Split("users")

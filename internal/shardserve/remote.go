@@ -3,47 +3,12 @@ package shardserve
 import (
 	"fmt"
 
-	"knor/internal/blas"
-	"knor/internal/matrix"
 	"knor/internal/netcluster"
 	"knor/internal/serve"
-	"knor/internal/telemetry"
 )
 
-// Remote is the cluster-mode seam between the shard layout and real
-// peer processes: when a ShardRegistry is built with Options.Remote,
-// machine indices that are not local map to netcluster peers. Restores
-// and drops are pushed to the owning peer as FrameShard/FrameShardDrop
-// (so the peer's local serve.Registry mirrors the plan), and the
-// fan-out answers non-local shard groups with a FrameAssignReq RPC
-// instead of an in-process batcher call.
-//
-// Push errors to a peer are non-fatal by design: a dead peer's restore
-// failing must not abort the publish or the healing rebalance that is
-// routing AROUND that peer — the membership layer will re-spread its
-// shards to live machines, and a recovered peer is caught up by the
-// next rebalance.
-type Remote interface {
-	// LocalMachine reports whether machine m is served in this process
-	// (no RPC); the coordinator itself is machine 0.
-	LocalMachine(m int) bool
-	// AssignRemote answers query rows against one shard snapshot on
-	// machine m's process. elem tags the row payload's element width
-	// (4 or 8); rows is nrows×d values encoded with AppendFloats. When
-	// tr is a sampled trace its context rides with the request and the
-	// peer's worker-local spans are stitched back into tr, re-anchored
-	// at this side's dispatch time (skew-safe offsets, never absolute
-	// remote wall times). A nil tr costs nothing.
-	AssignRemote(m int, key string, elem byte, nrows, d int, rows []byte, tr *telemetry.Trace) ([]serve.Assignment, error)
-	// RestoreRemote installs one shard of a model's centroids on
-	// machine m's process at the given version.
-	RestoreRemote(m int, key string, version, node int, elem byte, krows, d int, payload []byte) error
-	// DropRemote retires a shard copy from machine m's process.
-	DropRemote(m int, key string) error
-}
-
 // Shard-push and assign-RPC payload codecs, shared by the coordinator
-// hub and the worker peer loop so both sides agree on one schema. The
+// hub and the peer loop so both sides agree on one schema. The
 // float payloads ride as AppendFloats bytes with the element width in
 // the frame header — exact bits, no float conversion on the wire.
 
@@ -133,6 +98,11 @@ func decodeAssignResp(b []byte) ([]serve.Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
+	// 16 bytes a row (cluster, version, float64 distance): check the
+	// untrusted count against the payload before allocating for it.
+	if uint64(n)*16 > uint64(len(b)-8) {
+		return nil, netcluster.ErrShortPayload
+	}
 	out := make([]serve.Assignment, n)
 	off := 8
 	var dist [1]float64
@@ -151,14 +121,4 @@ func decodeAssignResp(b []byte) ([]serve.Assignment, error) {
 		out[i] = serve.Assignment{Cluster: int32(cl), Version: int(ver), SqDist: dist[0]}
 	}
 	return out, nil
-}
-
-// remoteAssignBatch answers one shard group on a remote machine: the
-// query rows' exact bits ride to the peer, the peer's batcher computes
-// against its local shard snapshot, and the per-row answers ride back
-// — the same values the in-process batcher call would produce, since
-// every replica holds identical centroid bits at identical versions.
-func remoteAssignBatch[T blas.Float](rm Remote, m int, key string, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
-	payload := netcluster.AppendFloats(nil, rows.Data)
-	return rm.AssignRemote(m, key, byte(blas.ElemBytes[T]()), rows.Rows(), rows.Cols(), payload, tr)
 }

@@ -1,5 +1,5 @@
 // Package topology is the cluster membership layer behind replicated
-// shard serving: it tracks which simulated machines are live, detects
+// shard serving: it tracks which machines are live, detects
 // death and recovery from health pulses, and announces every transition
 // over channels drained by a dispatcher goroutine (the seaweedfs
 // topology shape: chanDeadDataNodes / chanRecoveredDataNodes), so
@@ -10,8 +10,9 @@
 //
 //   - Pulse + Sweep: machines report periodic health pulses; a sweep
 //     marks any live machine whose last pulse is older than
-//     PulseTimeout dead. This is the production path (knorserve runs a
-//     pulse clock over its simulated machines).
+//     PulseTimeout dead. This is the production path: the serving
+//     hub (internal/shardserve) routes peer heartbeats into Pulse and
+//     self-pulses and sweeps on its own clock.
 //   - MarkDead / MarkRecovered: explicit transitions, the
 //     fault-injection path the chaos harness drives so kill schedules
 //     replay deterministically from a seed.
@@ -82,8 +83,11 @@ type Topology struct {
 	mu        sync.RWMutex
 	state     []State
 	lastPulse []time.Time
-	epoch     uint64
-	subs      []func(Event)
+	// held[m]: MarkDead took m down, and only MarkRecovered brings it
+	// back — its pulses do not.
+	held  []bool
+	epoch uint64
+	subs  []func(Event)
 
 	chanDead      chan int
 	chanRecovered chan int
@@ -105,6 +109,7 @@ func New(cfg Config) *Topology {
 		cfg:           cfg,
 		state:         make([]State, cfg.Machines),
 		lastPulse:     make([]time.Time, cfg.Machines),
+		held:          make([]bool, cfg.Machines),
 		chanDead:      make(chan int),
 		chanRecovered: make(chan int),
 		closed:        make(chan struct{}),
@@ -168,7 +173,10 @@ func (t *Topology) send(ch chan int, m int) {
 }
 
 // Pulse records a health pulse from machine m observed at the given
-// time. A pulse from a dead machine is the recovery signal. The
+// time. A pulse from a machine a Sweep declared dead is the recovery
+// signal; one MarkDead took down stays dead until MarkRecovered, so a
+// pulse sent before the MarkDead and delivered after it cannot revive
+// it. The
 // interval between a machine's consecutive pulses feeds the
 // health_pulse_seconds histogram, so a scrape shows pulse cadence (and
 // a stalling pulser shows up as a fat tail).
@@ -178,7 +186,7 @@ func (t *Topology) Pulse(m int, at time.Time) {
 		telPulseSeconds.Observe(at.Sub(prev).Seconds())
 	}
 	t.lastPulse[m] = at
-	recovered := t.state[m] == Dead
+	recovered := t.state[m] == Dead && !t.held[m]
 	if recovered {
 		t.transitionLocked(m, Live)
 	}
@@ -208,9 +216,12 @@ func (t *Topology) Sweep(now time.Time) []int {
 }
 
 // MarkDead transitions machine m to Dead explicitly (fault injection,
-// or an out-of-band failure signal). No-op if already dead.
+// or an out-of-band failure signal) and holds it there until
+// MarkRecovered: its pulses no longer revive it. No transition if
+// already dead.
 func (t *Topology) MarkDead(m int) {
 	t.mu.Lock()
+	t.held[m] = true
 	changed := t.state[m] == Live
 	if changed {
 		t.transitionLocked(m, Dead)
@@ -221,11 +232,12 @@ func (t *Topology) MarkDead(m int) {
 	}
 }
 
-// MarkRecovered transitions machine m to Live explicitly and restarts
-// its pulse window so the next sweep does not immediately re-kill it.
-// No-op if already live.
+// MarkRecovered transitions machine m to Live explicitly, releases a
+// MarkDead hold, and restarts its pulse window so the next sweep does
+// not immediately re-kill it. No transition if already live.
 func (t *Topology) MarkRecovered(m int) {
 	t.mu.Lock()
+	t.held[m] = false
 	changed := t.state[m] == Dead
 	if changed {
 		t.lastPulse[m] = time.Now()
@@ -295,39 +307,6 @@ func (t *Topology) Close() {
 		close(t.closed)
 		<-t.dispatchDone
 	})
-}
-
-// StartClock runs the production detection loop in the background:
-// every `every`, each machine for which alive(m) returns true pulses,
-// then a sweep retires machines that stopped pulsing. alive stands in
-// for "the machine's pulser process is running" — knorserve wires it to
-// the shard layer's kill switch so a killed simulated machine goes
-// silent exactly like a dead process would. The returned stop function
-// halts the clock (idempotent).
-func (t *Topology) StartClock(every time.Duration, alive func(m int) bool) (stop func()) {
-	if every <= 0 {
-		every = t.cfg.PulseTimeout / 4
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case now := <-tick.C:
-				for m := 0; m < t.cfg.Machines; m++ {
-					if alive == nil || alive(m) {
-						t.Pulse(m, now)
-					}
-				}
-				t.Sweep(now)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // Place returns the machines that should hold the replicas of shard s:

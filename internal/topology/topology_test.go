@@ -113,36 +113,30 @@ func TestExplicitTransitions(t *testing.T) {
 	}
 }
 
-func TestStartClockDetectsSilentMachine(t *testing.T) {
-	topo := New(Config{Machines: 2, PulseTimeout: 30 * time.Millisecond})
+// TestMarkDeadHoldsAgainstPulses: a machine MarkDead took down ignores
+// pulses (one sent before the kill may be delivered after it) until
+// MarkRecovered, while a sweep-detected death still recovers on the
+// next pulse.
+func TestMarkDeadHoldsAgainstPulses(t *testing.T) {
+	topo := New(Config{Machines: 3, PulseTimeout: 100 * time.Millisecond})
 	defer topo.Close()
-	var downMu sync.Mutex
-	down := false
-	stop := topo.StartClock(5*time.Millisecond, func(m int) bool {
-		if m != 1 {
-			return true
-		}
-		downMu.Lock()
-		defer downMu.Unlock()
-		return !down
-	})
-	defer stop()
-
-	time.Sleep(60 * time.Millisecond)
+	now := time.Now()
+	topo.MarkDead(1)
+	topo.Pulse(1, now)
+	if topo.IsLive(1) {
+		t.Fatal("a pulse revived a machine MarkDead holds down")
+	}
+	topo.MarkRecovered(1)
 	if !topo.IsLive(1) {
-		t.Fatal("machine 1 died while pulsing")
+		t.Fatal("MarkRecovered left machine dead")
 	}
-	downMu.Lock()
-	down = true
-	downMu.Unlock()
-	waitFor(t, "clock-driven death", func() bool { return !topo.IsLive(1) })
-	if !topo.IsLive(0) {
-		t.Fatal("machine 0 collateral damage")
+	if dead := topo.Sweep(now.Add(time.Second)); len(dead) != 3 {
+		t.Fatalf("sweep after silence retired %v, want all 3", dead)
 	}
-	downMu.Lock()
-	down = false
-	downMu.Unlock()
-	waitFor(t, "clock-driven recovery", func() bool { return topo.IsLive(1) })
+	topo.Pulse(1, now.Add(time.Second))
+	if !topo.IsLive(1) {
+		t.Fatal("a pulse did not recover a sweep-detected death")
+	}
 }
 
 func TestPlace(t *testing.T) {

@@ -17,8 +17,8 @@
 // models published copy-on-write, queries answered through batched GEMM
 // distance computations, and stream updaters that keep folding new
 // observations into a model while it serves. NewShardedAssigner scales
-// that layer out: a model's centroids sharded across simulated
-// machines (knord's row-sharding applied to the online path), queries
+// that layer out: a model's centroids sharded across machines that
+// answer only through wire frames (knord's row-sharding applied to the online path), queries
 // fanned out and merged by a min-allreduce, bit-identical to the
 // single-node assigner.
 //
@@ -345,7 +345,7 @@ func NewAssigner(reg *Registry, opts BatcherOptions, p Precision) Assigner {
 // --- distributed serving (internal/shardserve) --------------------------
 
 type (
-	// ShardRegistry keeps one serve.Registry per simulated machine in
+	// ShardRegistry keeps one serve.Registry per machine in
 	// lockstep: publishing splits a model's centroid rows into
 	// contiguous shards, one per machine, at the same version number.
 	ShardRegistry = shardserve.ShardRegistry
@@ -381,23 +381,45 @@ func NewClusterTopology(cfg ClusterTopologyConfig) *ClusterTopology {
 }
 
 // NewShardRegistry builds an empty centroid-sharded registry over the
-// given machine count.
+// given machine count. Machines 1..machines-1 run as in-process peers
+// behind the registry's hub, so the caller must Close the registry to
+// stop them.
 func NewShardRegistry(machines int) *ShardRegistry {
 	return shardserve.NewShardRegistry(machines)
 }
 
 // NewShardedAssigner shards every model of reg (current and future
-// publishes) across `machines` simulated machines and returns the
-// fan-out assignment path at the requested precision: each machine
-// answers queries against only its centroid shard, and per-shard
-// argmins merge with lowest-global-index tie-breaking — bit-identical
-// to the single-node NewAssigner for any machine count.
+// publishes) across `machines` machines and returns the fan-out
+// assignment path at the requested precision: each machine answers
+// queries against only its centroid shard, and per-shard argmins merge
+// with lowest-global-index tie-breaking — bit-identical to the
+// single-node NewAssigner for any machine count. Machines
+// 1..machines-1 run as in-process peers with the same batcher options;
+// the returned Assigner's Close stops them too.
 func NewShardedAssigner(reg *Registry, machines int, opts BatcherOptions, p Precision) (Assigner, error) {
-	sr := shardserve.NewShardRegistry(machines)
+	sopts := ShardOptions{Machines: machines}
+	if machines > 1 {
+		sopts.Transport = shardserve.StartLocalPeers(machines, shardserve.PeerOptions{Batcher: opts})
+	}
+	sr := shardserve.NewShardRegistryWith(sopts)
 	if err := sr.Attach(reg); err != nil {
+		sr.Close()
 		return nil, err
 	}
-	return shardserve.NewAssigner(sr, opts, p), nil
+	return shardedAssigner{shardserve.NewAssigner(sr, opts, p), sr}, nil
+}
+
+// shardedAssigner is the fan-out assigner NewShardedAssigner returns,
+// owning the shard registry it built.
+type shardedAssigner struct {
+	Assigner
+	sr *ShardRegistry
+}
+
+// Close stops the assigner, then the registry's hub and peers.
+func (a shardedAssigner) Close() {
+	a.Assigner.Close()
+	a.sr.Close()
 }
 
 // NewReplicatedShardRegistry builds a shard registry whose shard
@@ -408,6 +430,8 @@ func NewShardedAssigner(reg *Registry, machines int, opts BatcherOptions, p Prec
 // same version). Wire a Topology into sopts to make the registry
 // self-healing: on every dead/recovered transition it re-spreads shard
 // replicas over the live machines from its retained canonical copies.
+// The caller must Close the registry to stop its hub and the peers it
+// started (or the sopts.Transport it was given).
 func NewReplicatedShardRegistry(sopts ShardOptions) *ShardRegistry {
 	return shardserve.NewShardRegistryWith(sopts)
 }
