@@ -17,7 +17,7 @@ test:
 race:
 	$(GO) test -race ./internal/serve/... ./internal/kmeans/... ./cmd/knorserve/... \
 		./internal/store/... ./internal/sem/... ./internal/telemetry/... \
-		./internal/shardserve/... ./internal/cluster/... ./internal/topology/... \
+		./internal/shardserve/... ./internal/topology/... \
 		./internal/netcluster/... ./internal/dist/... ./internal/cliutil/...
 
 # Headline benchmarks: one representative configuration per paper

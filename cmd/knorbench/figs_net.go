@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"knor/internal/cluster"
 	"knor/internal/netcluster"
 	"knor/internal/simclock"
 )
@@ -15,8 +14,9 @@ import (
 // blocks — at the payload scales that matter: the k=100 d=16 float64
 // accumulator (~13 KB, one training iteration's merge) and a 1 MiB
 // block (shard-push scale). The simulated column is modeled time from
-// internal/cluster's alpha-beta cost model on the machine clocks; the
-// TCP column is measured wall time for real OS sockets on loopback,
+// the SimGroup's per-frame alpha-beta charge on the rank clocks — the
+// same network cost the simulated knord/MPI/MLlib figures pay; the TCP
+// column is measured wall time for real OS sockets on loopback,
 // all ranks in-process. The two columns answer different questions —
 // "what does the model predict for a datacenter network" vs "what
 // does the deployable path actually cost here" — and the table is the
@@ -57,15 +57,14 @@ func netExp(e env) {
 // modeled seconds per round: the furthest machine clock, divided by
 // the round count.
 func netSimRounds(m, payload, rounds int) float64 {
-	net := cluster.New(m, simclock.DefaultCostModel())
-	g := netcluster.NewSimGroup(net)
+	g := netcluster.NewSimGroup(m, simclock.DefaultCostModel())
 	defer g.Close()
 	runAllgatherRanks(m, payload, rounds, func(r int) netcluster.Transport {
 		return g.Transport(r)
 	})
 	max := 0.0
 	for i := 0; i < m; i++ {
-		if t := net.Clock(i).Now(); t > max {
+		if t := g.Transport(i).Clock().Now(); t > max {
 			max = t
 		}
 	}

@@ -1,15 +1,14 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
-	"knor/internal/cluster"
-	"knor/internal/frameworks"
+	"knor/internal/blas"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
-	"knor/internal/numa"
-	"knor/internal/sched"
+	"knor/internal/netcluster"
 )
 
 // Mode selects the distributed execution strategy (Section 8.9).
@@ -17,13 +16,15 @@ type Mode int
 
 const (
 	// ModeKnord is the paper's design: NUMA-aware per-machine engines
-	// merged by a decentralised ring allreduce.
+	// merged by a decentralised ring allgather and a fold on every
+	// machine.
 	ModeKnord Mode = iota
-	// ModeMPI is the routine MPI port: the same collectives over
+	// ModeMPI is the routine MPI port: the same collective over
 	// NUMA-oblivious engines.
 	ModeMPI
 	// ModeMLlib emulates Spark MLlib's master-worker execution: serial
-	// task dispatch, boxed rows, gather-to-driver aggregation.
+	// task dispatch, boxed rows, gather-to-driver aggregation and a
+	// broadcast of the merged model.
 	ModeMLlib
 )
 
@@ -43,7 +44,8 @@ func (m Mode) String() string {
 
 // Config controls a distributed run.
 type Config struct {
-	// Machines is the simulated cluster size.
+	// Machines is the cluster size: simulated machines for Run, the
+	// transport's rank count for RunTransport.
 	Machines int
 	// Mode selects the execution strategy.
 	Mode Mode
@@ -52,7 +54,7 @@ type Config struct {
 	Kmeans kmeans.Config
 	// MLlibTaskOverhead is the serial driver-side cost of dispatching
 	// one partition task (seconds), paid every iteration in ModeMLlib
-	// through the master NIC. Zero disables dispatch accounting.
+	// on the simulated clocks. Zero disables dispatch accounting.
 	MLlibTaskOverhead float64
 }
 
@@ -75,227 +77,67 @@ func (c Config) validate(n int) error {
 	return nil
 }
 
-// Run executes the distributed module over the simulated cluster and
+// Run executes the distributed module over a simulated cluster and
 // returns an aggregate Result: global assignments in input row order,
 // the converged centroids, cluster-wide per-iteration stats, and the
-// total memory footprint summed across machines.
+// total memory footprint summed across machines. It is
+// RunPrecision at Precision64.
 func Run(data *matrix.Dense, cfg Config) (*kmeans.Result, error) {
-	if data == nil || data.Rows() == 0 {
-		return nil, fmt.Errorf("dist: empty dataset")
+	return RunPrecision(data, cfg, kmeans.Precision64)
+}
+
+// RunPrecision is Run at the requested element precision. The M
+// machines are M goroutines running RunTransport over one
+// netcluster.SimGroup, so the simulated cluster moves exactly the
+// frames a multi-process run moves, and its network time is the
+// group's per-frame alpha-beta charge. The result is rank 0's.
+func RunPrecision(data *matrix.Dense, cfg Config, p kmeans.Precision) (*kmeans.Result, error) {
+	if p == kmeans.Precision32 {
+		return runSim[float32](data, cfg)
 	}
-	if err := cfg.validate(data.Rows()); err != nil {
-		return nil, err
-	}
-	kcfg, err := cfg.Kmeans.WithDefaults(data.Rows())
+	return runSim[float64](data, cfg)
+}
+
+func runSim[T blas.Float](data *matrix.Dense, cfg Config) (*kmeans.Result, error) {
+	j, err := newJob[T](data, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// Spherical runs normalise a global copy exactly as the serial
-	// oracle does: the init and the SSE are computed on it, while each
-	// shard engine normalises its own raw rows (the identical row-wise
-	// operation, so shard rows match the oracle's bit for bit).
-	full := data
-	if kcfg.Spherical {
-		full = data.Clone()
-		matrix.NormalizeRows(full)
+	g := netcluster.NewSimGroup(cfg.Machines, j.kcfg.Model)
+	defer g.Close()
+	results := make([]*kmeans.Result, cfg.Machines)
+	errs := make([]error, cfg.Machines)
+	var wg sync.WaitGroup
+	for r := range results {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			if results[r], errs[r] = j.run(g.Transport(r)); errs[r] != nil {
+				g.Close() // unblock the ranks waiting on this one's frames
+			}
+		}(r)
 	}
-
-	// Initial centroids come from the FULL dataset — the one global
-	// step of the paper's design (the root scatters the seed centroids
-	// before iteration 0). Sharding the init instead would make the
-	// result depend on the machine count.
-	init := kmeans.InitCentroidsFor(full, kcfg)
-
-	c, err := newClusterState(data, full, cfg, kcfg, init)
-	if err != nil {
+	wg.Wait()
+	if err := rankError(errs); err != nil {
 		return nil, err
 	}
-	return c.run()
+	return results[0], nil
 }
 
-// clusterState is one distributed run: the shards, the per-machine
-// engines and the simulated interconnect.
-type clusterState struct {
-	cfg  Config
-	kcfg kmeans.Config // validated, with defaults
-
-	data   *matrix.Dense // full (normalised if spherical) matrix
-	shards []Shard
-	engs   []*kmeans.Engine
-	net    *cluster.Network
-
-	payload    int // allreduce bytes per machine (accum wire size)
-	totalTasks int // cluster-wide task count, for MLlib dispatch
-}
-
-func newClusterState(raw, full *matrix.Dense, cfg Config, kcfg kmeans.Config, init *matrix.Dense) (*clusterState, error) {
-	n, d := full.Rows(), full.Cols()
-
-	// All machines start from identical given centroids; the per-shard
-	// engines must not re-run the (data-dependent) init method. On
-	// spherical runs the engine normalises the given centroids itself,
-	// matching the oracle's post-init normalise, so `init` is passed
-	// un-normalised.
-	shardCfg := kcfg
-	shardCfg.Init = kmeans.InitGiven
-	shardCfg.Centroids = init
-	switch cfg.Mode {
-	case ModeKnord:
-		// The paper's engine, as configured by the caller.
-	case ModeMPI:
-		// A routine MPI port runs unpinned processes over first-touch
-		// allocation: the NUMA-oblivious baseline inside each machine.
-		shardCfg.NUMAOblivious = true
-		shardCfg.Placement = numa.PlaceSingleBank
-		shardCfg.Sched = sched.FIFO
-	case ModeMLlib:
-		// Spark executors: JVM rows, no pinning, FIFO task queues. The
-		// boxed-row cost reuses the Figure 9 calibration so single-node
-		// and distributed MLlib emulations agree.
-		p := frameworks.ProfileOf(frameworks.MLlib)
-		shardCfg.NUMAOblivious = true
-		shardCfg.Placement = numa.PlaceSingleBank
-		shardCfg.Sched = sched.FIFO
-		shardCfg.Model.RowOverhead += p.RowOverhead
-	}
-
-	c := &clusterState{
-		cfg:    cfg,
-		kcfg:   kcfg,
-		data:   full,
-		shards: Partition(n, cfg.Machines),
-		net:    cluster.New(cfg.Machines, kcfg.Model),
-	}
-	c.payload = kmeans.NewAccum(kcfg.K, d).SerializedBytes()
-	c.engs = make([]*kmeans.Engine, cfg.Machines)
-	for m, sh := range c.shards {
-		eng, err := kmeans.NewEngine(sh.View(raw), shardCfg)
-		if err != nil {
-			return nil, fmt.Errorf("dist: machine %d (rows %d..%d): %w", m, sh.Lo, sh.Hi, err)
-		}
-		c.engs[m] = eng
-		c.totalTasks += sh.Tasks(kcfg.TaskSize)
-	}
-	return c, nil
-}
-
-// run drives the decentralised iteration loop: per-machine local
-// super-phases in (real) parallel, one collective, then the identical
-// global apply on every machine.
-func (c *clusterState) run() (*kmeans.Result, error) {
-	M := c.cfg.Machines
-	k, d := c.kcfg.K, c.data.Cols()
-	res := &kmeans.Result{}
-	prevEnd := 0.0
-
-	stats := make([]kmeans.IterStats, M)
-	deltas := make([]*kmeans.Accum, M)
-	for iter := 0; iter < c.kcfg.MaxIters; iter++ {
-		// MLlib's driver serially ships every partition task before the
-		// executors can start computing (Figure 12's per-task cost).
-		if c.cfg.Mode == ModeMLlib && c.cfg.MLlibTaskOverhead > 0 {
-			c.syncNetClocks()
-			c.net.MasterDispatch(0, c.totalTasks, c.cfg.MLlibTaskOverhead)
-			c.pushNetClocks()
-		}
-
-		// Local super-phase on every machine. The machines are
-		// independent until the collective, so they run on real
-		// goroutines; determinism holds because no state is shared.
-		var wg sync.WaitGroup
-		for m := 0; m < M; m++ {
-			wg.Add(1)
-			go func(m int) {
-				defer wg.Done()
-				stats[m], deltas[m] = c.engs[m].LocalPhase(iter)
-			}(m)
-		}
-		wg.Wait()
-
-		// The collective's *value* is reduced in fixed machine order so
-		// the numerical result never depends on the simulated algorithm
-		// (ring vs gather) or on machine arrival times.
-		global := kmeans.NewAccum(k, d)
-		for m := 0; m < M; m++ {
-			global.Merge(deltas[m])
-		}
-		c.collective()
-
-		// Identical apply everywhere: same delta into the same sums
-		// gives every machine bit-identical next centroids — no
-		// broadcast of centroids is needed beyond the collective above.
-		var drift float64
-		changed := 0
-		for m := 0; m < M; m++ {
-			drift = c.engs[m].ApplyGlobal(global)
-			changed += stats[m].RowsChanged
-		}
-
-		st := aggregateStats(stats)
-		st.Iter = iter
-		st.Drift = drift
-		iterEnd := c.maxEngineClock()
-		st.SimSeconds = iterEnd - prevEnd
-		prevEnd = iterEnd
-		res.PerIter = append(res.PerIter, st)
-		res.Iters = iter + 1
-		if iter > 0 && (changed == 0 || drift <= c.kcfg.Tol) {
-			res.Converged = true
-			break
+// rankError picks the failure a run reports: the lowest rank's error
+// other than the group teardown that failure caused in the other ranks.
+func rankError(errs []error) error {
+	var closed error
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case !errors.Is(err, netcluster.ErrClosed):
+			return err
+		case closed == nil:
+			closed = err
 		}
 	}
-	c.finish(res, prevEnd)
-	return res, nil
-}
-
-// finish assembles the aggregate result from the machine engines.
-func (c *clusterState) finish(res *kmeans.Result, end float64) {
-	n := c.data.Rows()
-	assign := make([]int32, n)
-	for m, sh := range c.shards {
-		copy(assign[sh.Lo:sh.Hi], c.engs[m].Assign())
-	}
-	cents := c.engs[0].Centroids()
-	res.Centroids = cents
-	res.Assign = assign
-	res.Sizes = make([]int, c.kcfg.K)
-	for _, a := range assign {
-		if a >= 0 {
-			res.Sizes[a]++
-		}
-	}
-	res.SSE = kmeans.SSEOf(c.data, cents, assign)
-	res.SimSeconds = end
-	res.MemoryBytes = c.memoryBytes()
-}
-
-// syncNetClocks advances every machine's network clock to its engine's
-// latest worker time, so collectives start when computation finished.
-func (c *clusterState) syncNetClocks() {
-	for m := range c.engs {
-		c.net.Clock(m).AdvanceTo(c.engs[m].Group().Max())
-	}
-}
-
-// pushNetClocks pushes the post-collective network time back into
-// every engine's worker clocks — the inverse of syncNetClocks, so the
-// clock-composition rule lives in exactly one pair of helpers.
-func (c *clusterState) pushNetClocks() {
-	for m := range c.engs {
-		c.engs[m].Group().ResetAll(c.net.Clock(m).Now())
-	}
-}
-
-// maxEngineClock returns the cluster-wide latest simulated time.
-func (c *clusterState) maxEngineClock() float64 {
-	mx := 0.0
-	for _, e := range c.engs {
-		if t := e.Group().Max(); t > mx {
-			mx = t
-		}
-	}
-	return mx
+	return closed
 }
 
 // aggregateStats sums per-machine iteration stats into cluster totals.
@@ -313,24 +155,4 @@ func aggregateStats(stats []kmeans.IterStats) kmeans.IterStats {
 		st.RowCacheHits += stats[i].RowCacheHits
 	}
 	return st
-}
-
-// memoryBytes is the aggregate cluster footprint: every machine holds
-// its shard, its engine state, and the two collective buffers (send +
-// receive). MLlib additionally inflates the data representation by the
-// Figure 9 memory factor.
-func (c *clusterState) memoryBytes() uint64 {
-	d := c.data.Cols()
-	dataFactor := 1.0
-	if c.cfg.Mode == ModeMLlib {
-		dataFactor = frameworks.ProfileOf(frameworks.MLlib).MemFactor
-	}
-	var total uint64
-	for _, sh := range c.shards {
-		rows := sh.Hi - sh.Lo
-		total += uint64(float64(rows) * float64(d) * 8 * dataFactor)
-		total += kmeans.StateBytes(rows, d, c.kcfg.K, c.kcfg.Threads, c.kcfg.Prune)
-		total += 2 * uint64(c.payload)
-	}
-	return total
 }

@@ -26,15 +26,9 @@ func (s Shard) Tasks(taskSize int) int {
 	return (s.Rows() + taskSize - 1) / taskSize
 }
 
-// View returns the shard's rows of m as a zero-copy Dense aliasing m's
-// storage — the simulated analogue of each cluster machine loading its
+// ViewOf returns the shard's rows of m as a zero-copy matrix aliasing
+// m's storage — the analogue of each cluster machine loading its
 // partition of the row-major input file.
-func (s Shard) View(m *matrix.Dense) *matrix.Dense {
-	return ViewOf(s, m)
-}
-
-// ViewOf is View generic over the element type (the transport runner's
-// float32 shards).
 func ViewOf[T blas.Float](s Shard, m *matrix.Mat[T]) *matrix.Mat[T] {
 	d := m.Cols()
 	return &matrix.Mat[T]{

@@ -63,7 +63,7 @@ func TestShardViewAliasesStorage(t *testing.T) {
 		}
 	}
 	sh := Shard{Lo: 2, Hi: 5}
-	v := sh.View(m)
+	v := ViewOf(sh, m)
 	if v.Rows() != 3 || v.Cols() != 3 {
 		t.Fatalf("view shape %dx%d", v.Rows(), v.Cols())
 	}

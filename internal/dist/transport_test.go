@@ -1,12 +1,13 @@
 package dist
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"knor/internal/cluster"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
 	"knor/internal/netcluster"
@@ -55,7 +56,7 @@ func runRanks(t *testing.T, ts []netcluster.Transport, data *matrix.Dense, cfg C
 // simTransports builds an M-rank simulated transport group.
 func simTransports(t *testing.T, m int) []netcluster.Transport {
 	t.Helper()
-	g := netcluster.NewSimGroup(cluster.New(m, simclock.DefaultCostModel()))
+	g := netcluster.NewSimGroup(m, simclock.DefaultCostModel())
 	t.Cleanup(func() { g.Close() })
 	ts := make([]netcluster.Transport, m)
 	for r := 0; r < m; r++ {
@@ -138,37 +139,38 @@ func requireBitIdentical(t *testing.T, want, got *kmeans.Result, label string) {
 	}
 }
 
-// TestTransportParity is the tentpole acceptance in test form: at both
-// precisions and several cluster sizes, the transport runner over real
-// TCP sockets is bit-identical to the same runner over the simulated
-// transport, and (at float64) to the legacy simulated dist.Run path.
+// TestTransportParity is the tentpole acceptance in test form: in every
+// mode, at both precisions and several cluster sizes, the transport
+// runner over real TCP sockets is bit-identical to the same runner over
+// the simulated transport, and to Run, which drives that runner over a
+// SimGroup of its own.
 func TestTransportParity(t *testing.T) {
 	data := testData(900, 6, 5, 21)
-	for _, m := range []int{1, 2, 3} {
-		cfg := Config{Machines: m, Mode: ModeKnord, Kmeans: parityCfg(5)}
-		for _, p := range []kmeans.Precision{kmeans.Precision64, kmeans.Precision32} {
-			sim := runRanks(t, simTransports(t, m), data, cfg, p)
-			tcp := runRanks(t, tcpTransports(t, m), data, cfg, p)
-			label := "m=" + p.String()
-			requireBitIdentical(t, sim[0], tcp[0], label+" tcp-vs-simgroup")
-			// Every rank agrees on centroids/iters; only rank 0 carries
-			// the gathered assignments.
-			for r := 1; r < m; r++ {
-				if tcp[r].Iters != tcp[0].Iters || tcp[r].Converged != tcp[0].Converged {
-					t.Fatalf("%s: rank %d verdict diverged", label, r)
-				}
-				for i := range tcp[0].Centroids.Data {
-					if math.Float64bits(tcp[r].Centroids.Data[i]) != math.Float64bits(tcp[0].Centroids.Data[i]) {
-						t.Fatalf("%s: rank %d centroids diverged", label, r)
+	for _, mode := range []Mode{ModeKnord, ModeMPI, ModeMLlib} {
+		for _, m := range []int{1, 2, 3} {
+			cfg := Config{Machines: m, Mode: mode, Kmeans: parityCfg(5), MLlibTaskOverhead: 1e-5}
+			for _, p := range []kmeans.Precision{kmeans.Precision64, kmeans.Precision32} {
+				sim := runRanks(t, simTransports(t, m), data, cfg, p)
+				tcp := runRanks(t, tcpTransports(t, m), data, cfg, p)
+				label := fmt.Sprintf("%v m=%d p=%v", mode, m, p)
+				requireBitIdentical(t, sim[0], tcp[0], label+" tcp-vs-simgroup")
+				// Every rank agrees on centroids/iters; only rank 0 carries
+				// the gathered assignments.
+				for r := 1; r < m; r++ {
+					if tcp[r].Iters != tcp[0].Iters || tcp[r].Converged != tcp[0].Converged {
+						t.Fatalf("%s: rank %d verdict diverged", label, r)
+					}
+					for i := range tcp[0].Centroids.Data {
+						if math.Float64bits(tcp[r].Centroids.Data[i]) != math.Float64bits(tcp[0].Centroids.Data[i]) {
+							t.Fatalf("%s: rank %d centroids diverged", label, r)
+						}
 					}
 				}
-			}
-			if p == kmeans.Precision64 {
-				legacy, err := Run(data, cfg)
+				run, err := RunPrecision(data, cfg, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireBitIdentical(t, legacy, tcp[0], label+" tcp-vs-legacy-sim")
+				requireBitIdentical(t, run, tcp[0], label+" tcp-vs-run")
 			}
 		}
 	}
@@ -238,8 +240,34 @@ func TestTransportRejectsMismatch(t *testing.T) {
 		t.Fatal("machine-count mismatch should error")
 	}
 	cfg.Machines = 2
-	cfg.Mode = ModeMLlib
+	cfg.Mode = Mode(7)
 	if _, err := RunTransport(ts[0], data, cfg, kmeans.Precision64); err == nil {
-		t.Fatal("non-knord mode should error")
+		t.Fatal("unknown mode should error")
+	}
+}
+
+// TestRunFailingRankDoesNotHang: when some ranks fail (here, shards
+// smaller than k on machines 1 and 2) while rank 0 waits in the
+// collective, Run tears the group down and reports the failing rank's
+// own error at both precisions, instead of blocking forever.
+func TestRunFailingRankDoesNotHang(t *testing.T) {
+	data := testData(10, 2, 2, 3)
+	kcfg := parityCfg(4)
+	kcfg.TaskSize = 2
+	cfg := Config{Machines: 3, Mode: ModeKnord, Kmeans: kcfg}
+	for _, p := range []kmeans.Precision{kmeans.Precision64, kmeans.Precision32} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunPrecision(data, cfg, p)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "dist: machine 1 (rows 4..7)") {
+				t.Fatalf("p=%v: error %v, want machine 1's shard error", p, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("p=%v: Run blocked with a failed rank", p)
+		}
 	}
 }

@@ -120,7 +120,7 @@ func (a *AccumOf[T]) Centroids(prev *matrix.Mat[T]) *matrix.Mat[T] {
 }
 
 // SerializedBytes returns the wire size of the accumulator (k*d sums +
-// k counts), the payload knord's allreduce moves per machine.
+// k counts), the payload knord's collective moves per machine.
 func (a *AccumOf[T]) SerializedBytes() int {
 	return a.K*a.D*blas.ElemBytes[T]() + a.K*8
 }

@@ -58,7 +58,7 @@ type taskCost struct {
 }
 
 // EngineOf holds one run's state, generic over the element type; the
-// distributed module embeds one (float64) engine per simulated machine.
+// distributed module runs one engine per machine.
 type EngineOf[T blas.Float] struct {
 	data *matrix.Mat[T]
 	cfg  Config
@@ -74,10 +74,6 @@ type EngineOf[T blas.Float] struct {
 	sc      sched.Scheduler
 	tasks   []sched.Task
 	costs   []taskCost
-
-	// baseClock lets an enclosing simulation (knord) start this
-	// machine's clocks at a given simulated time.
-	baseClock float64
 }
 
 // Engine is the float64 engine, bit-identical with the pre-generic
@@ -112,7 +108,6 @@ func (e *EngineOf[T]) workerNode(w int) int {
 
 func (e *EngineOf[T]) run() (*Result, error) {
 	res := &Result{}
-	e.group.ResetAll(e.baseClock)
 	for iter := 0; iter < e.cfg.MaxIters; iter++ {
 		st, changed, drift := e.Iterate(iter)
 		res.PerIter = append(res.PerIter, st)
@@ -131,7 +126,7 @@ func (e *EngineOf[T]) finish(res *Result) {
 	res.Assign = e.ps.Assign
 	res.Sizes = sizesOf(e.ps.Assign, e.k)
 	res.SSE = SSEOf(e.data, e.cents, e.ps.Assign)
-	res.SimSeconds = e.group.Max() - e.baseClock
+	res.SimSeconds = e.group.Max()
 	// In-memory runs hold the full n×d data plus algorithm state; both
 	// scale with the element size.
 	eb := blas.ElemBytes[T]()
@@ -155,7 +150,7 @@ func (e *EngineOf[T]) Iterate(iter int) (IterStats, int, float64) {
 // with pruning, per-thread delta accumulation, the single barrier, the
 // parallel delta merge, and the virtual scheduling replay. It returns
 // the iteration stats and the machine's merged delta accumulator —
-// which knord allreduces across machines before ApplyGlobal.
+// which knord merges across machines before ApplyGlobal.
 func (e *EngineOf[T]) LocalPhase(iter int) (IterStats, *AccumOf[T]) {
 	model := e.cfg.Model
 	e.ps.UpdateCentroidDists(e.cents)
@@ -182,7 +177,7 @@ func (e *EngineOf[T]) LocalPhase(iter int) (IterStats, *AccumOf[T]) {
 	return st, merged
 }
 
-// ApplyGlobal folds a (possibly allreduced) delta accumulator into the
+// ApplyGlobal folds a (possibly cluster-wide) delta accumulator into the
 // persistent global sums, produces the next centroids, computes drift
 // and loosens the pruning bounds. Returns total drift.
 func (e *EngineOf[T]) ApplyGlobal(delta *AccumOf[T]) float64 {
@@ -368,8 +363,8 @@ func (e *EngineOf[T]) parallelLoosen() {
 	wg.Wait()
 }
 
-// Centroids exposes the current centroids (used by knord between
-// allreduce steps).
+// Centroids exposes the current centroids (used by knord after the
+// last collective).
 func (e *EngineOf[T]) Centroids() *matrix.Mat[T] { return e.cents }
 
 // NewEngine validates cfg against data and builds an engine for
@@ -387,7 +382,7 @@ func NewEngine[T blas.Float](data *matrix.Mat[T], cfg Config) (*EngineOf[T], err
 }
 
 // Group exposes the engine's worker clocks so an enclosing simulation
-// (the cluster network) can synchronise machine time around
+// (knord's network clock) can synchronise machine time around
 // collectives.
 func (e *EngineOf[T]) Group() *simclock.Group { return e.group }
 

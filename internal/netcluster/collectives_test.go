@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"knor/internal/cluster"
 	"knor/internal/simclock"
 )
 
@@ -17,7 +16,7 @@ import (
 func forEachTransport(t *testing.T, m int, body func(t *testing.T, ts []Transport)) {
 	t.Helper()
 	t.Run("sim", func(t *testing.T) {
-		g := NewSimGroup(cluster.New(m, simclock.DefaultCostModel()))
+		g := NewSimGroup(m, simclock.DefaultCostModel())
 		defer g.Close()
 		ts := make([]Transport, m)
 		for r := 0; r < m; r++ {
@@ -112,78 +111,11 @@ func TestGatherAndBcast(t *testing.T) {
 	})
 }
 
-// TestMinAllreduce: the distributed argmin fold equals the sequential
-// rank-order CombineMin oracle on every rank, including exact-tie
-// rows (same distance, different global index → lowest index wins).
-func TestMinAllreduce(t *testing.T) {
-	const m, rows = 3, 8
-	// Deterministic per-rank inputs, with row 5 an exact three-way tie
-	// and row 6 empty on some ranks (Index < 0).
-	input := func(rank int) []cluster.MinPair {
-		ps := make([]cluster.MinPair, rows)
-		for i := range ps {
-			ps[i] = cluster.MinPair{
-				Index: int32(rank*rows + i),
-				Dist:  float64((rank*31+i*17)%23) + 0.5,
-			}
-		}
-		ps[5] = cluster.MinPair{Index: int32(100 + rank), Dist: 4.25}
-		if rank%2 == 1 {
-			ps[6] = cluster.MinPair{Index: -1}
-		}
-		return ps
-	}
-	oracle := make([]cluster.MinPair, rows)
-	for i := range oracle {
-		oracle[i].Index = -1
-	}
-	for r := 0; r < m; r++ {
-		cluster.CombineMin(oracle, input(r))
-	}
-	if oracle[5].Index != 100 {
-		t.Fatalf("oracle tie-break picked %d, want 100", oracle[5].Index)
-	}
-	forEachTransport(t, m, func(t *testing.T, ts []Transport) {
-		perRank(t, ts, func(tr Transport) error {
-			pairs := input(tr.Rank())
-			if err := MinAllreduce(tr, 9, pairs); err != nil {
-				return err
-			}
-			for i, p := range pairs {
-				if p != oracle[i] {
-					return fmt.Errorf("row %d: got %+v, want %+v", i, p, oracle[i])
-				}
-			}
-			return nil
-		})
-	})
-}
-
-// TestMinPairCodec: encode/decode round-trip with exact float bits and
-// the length-disagreement error.
-func TestMinPairCodec(t *testing.T) {
-	in := []cluster.MinPair{{Index: -1, Dist: 0}, {Index: 7, Dist: 1.0000000000000002}}
-	b := EncodeMinPairs(nil, in)
-	out := make([]cluster.MinPair, 2)
-	if err := DecodeMinPairs(b, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("pair %d: %+v != %+v", i, in[i], out[i])
-		}
-	}
-	if err := DecodeMinPairs(b, make([]cluster.MinPair, 3)); err == nil {
-		t.Fatal("length disagreement should error")
-	}
-}
-
 // TestSimChargesTime: moving frames through the sim transport advances
 // the simulated clocks by the alpha-beta model, so RunTransport over a
 // SimGroup still reports meaningful simulated durations.
 func TestSimChargesTime(t *testing.T) {
-	net := cluster.New(2, simclock.DefaultCostModel())
-	g := NewSimGroup(net)
+	g := NewSimGroup(2, simclock.DefaultCostModel())
 	defer g.Close()
 	a, b := g.Transport(0), g.Transport(1)
 	done := make(chan struct{})
@@ -198,7 +130,16 @@ func TestSimChargesTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	if net.Clock(0).Now() <= 0 || net.Clock(1).Now() < net.Clock(0).Now() {
-		t.Fatalf("clocks not charged: sender=%g receiver=%g", net.Clock(0).Now(), net.Clock(1).Now())
+	if a.Clock().Now() <= 0 || b.Clock().Now() < a.Clock().Now() {
+		t.Fatalf("clocks not charged: sender=%g receiver=%g", a.Clock().Now(), b.Clock().Now())
 	}
+}
+
+func TestNewSimGroupPanicsOnZero(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	NewSimGroup(0, simclock.DefaultCostModel())
 }

@@ -1,6 +1,7 @@
 package netcluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -18,7 +19,8 @@ import (
 // issued concurrently by the caller).
 //
 // Two implementations: TCPTransport (real sockets, this file) and
-// SimTransport (goroutines + internal/cluster costs, sim.go).
+// SimTransport (goroutines + alpha-beta costs on simulated clocks,
+// sim.go).
 type Transport interface {
 	// Rank is this process's id, 0..Size-1. Rank 0 is the coordinator.
 	Rank() int
@@ -33,6 +35,11 @@ type Transport interface {
 	// Close tears the transport down; blocked Recvs return errors.
 	Close() error
 }
+
+// ErrClosed is the error a transport's blocked or later Send and Recv
+// return once it has been closed locally. A failed peer link reports
+// its own error instead.
+var ErrClosed = errors.New("netcluster: transport closed")
 
 // TCPOptions configure a real cluster bootstrap.
 type TCPOptions struct {
@@ -188,7 +195,7 @@ func (t *TCPTransport) reader(p *peerLink) {
 		select {
 		case p.inbox <- f:
 		case <-t.closed:
-			p.fail(fmt.Errorf("netcluster: transport closed"))
+			p.fail(ErrClosed)
 			return
 		}
 	}

@@ -1,8 +1,7 @@
-// Package netcluster is the real multi-process cluster substrate: the
-// Transport seam the distributed trainer (internal/dist) and the
-// sharded serving layer (internal/shardserve) run over when the
-// "machines" are actual OS processes instead of internal/cluster's
-// simulated ones.
+// Package netcluster is the cluster substrate: the Transport seam the
+// distributed trainer (internal/dist) and the sharded serving layer
+// (internal/shardserve) run over, whether the "machines" are actual OS
+// processes or goroutines in one process.
 //
 // The package has three layers:
 //
@@ -16,18 +15,17 @@
 //     ranks. TCPTransport speaks the codec over real sockets (join
 //     handshake, rank assignment, connection reuse, write deadlines);
 //     SimTransport moves the same frames between goroutines while
-//     charging internal/cluster's alpha-beta costs, so the simulated
-//     and real paths are interchangeable behind one interface.
-//   - collectives.go / hub.go: the collectives knord's iteration merge
-//     needs (ring allgather with a fixed-rank-order fold, gather) and
-//     the serving-side hub/peer protocol (shard spread, assignment
-//     RPC, heartbeats) behind the shardserve fan-out.
+//     charging each frame's alpha-beta cost on one simulated clock per
+//     rank — the repo's one network cost model — so the simulated and
+//     real paths are interchangeable behind one interface.
+//   - collectives.go: the collectives the trainer's iteration merge
+//     needs (ring allgather, gather, broadcast); the serving-side
+//     hub/peer protocol (shard spread, assignment RPC, heartbeats)
+//     lives in internal/shardserve.
 //
 // Parity discipline: every reduction *value* is folded in fixed rank
-// order (the same left-to-right order internal/dist's simulated
-// collective uses), so an M-process run is bit-identical to the
-// M-machine simulated run and to the single-process oracle at both
-// element widths.
+// order, so an M-process run is bit-identical to the same M ranks
+// over a SimGroup at both element widths.
 package netcluster
 
 import (
@@ -102,7 +100,8 @@ const (
 	FrameAccum
 	// FrameGather carries a rank's final assignments to rank 0.
 	FrameGather
-	// FrameMinPairs carries (argmin, dist) pairs for the min-allreduce.
+	// FrameMinPairs is reserved: it carried the retired min-allreduce's
+	// (argmin, dist) pairs, and frame numbers are wire format.
 	FrameMinPairs
 	// FramePulse is a liveness heartbeat (empty payload).
 	FramePulse

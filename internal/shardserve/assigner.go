@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"knor/internal/blas"
-	"knor/internal/cluster"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
 	"knor/internal/netcluster"
@@ -42,7 +41,7 @@ const (
 // serve.BatcherOf answers the shard groups placed on this process, and
 // every other machine is asked over the Hub — queries fanned out to
 // every shard group holding the model and folded into the global
-// argmin as the groups answer (cluster.CombineMin — associative and
+// argmin as the groups answer (CombineMin — associative and
 // commutative, so arrival order never changes the result).
 // Bit-identical to the single-node serve.BatcherOf for any machine
 // count: shards report raw distances, the cancellation clamp is
@@ -201,11 +200,11 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 		}(s)
 	}
 
-	pairs := make([]cluster.MinPair, n)
+	pairs := make([]MinPair, n)
 	for i := range pairs {
 		pairs[i].Index = -1
 	}
-	src := make([]cluster.MinPair, n)
+	src := make([]MinPair, n)
 	var reduceStart, reduceEnd time.Time
 	var reduceTotal time.Duration
 	for done := 0; done < shards; done++ {
@@ -224,13 +223,13 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 				retry = true
 				break
 			}
-			src[i] = cluster.MinPair{Index: int32(lo) + as.Cluster, Dist: as.SqDist}
+			src[i] = MinPair{Index: int32(lo) + as.Cluster, Dist: as.SqDist}
 		}
 		if retry {
 			continue
 		}
 		cs := time.Now()
-		cluster.CombineMin(pairs, src)
+		CombineMin(pairs, src)
 		ce := time.Now()
 		if reduceStart.IsZero() {
 			reduceStart = cs

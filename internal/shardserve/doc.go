@@ -33,7 +33,7 @@
 //     its peer. A query batch goes to all shards concurrently, each
 //     answers local (argmin, dist) pairs against only its centroid
 //     rows, and answers are folded into the global result as they
-//     arrive (cluster.CombineMin), so reduction overlaps the slower
+//     arrive (CombineMin), so reduction overlaps the slower
 //     shards' GEMMs. The result is bit-identical to the single-node
 //     serve.Assigner for any machine count and either precision:
 //     shards return raw distances (the cancellation clamp is applied

@@ -1,13 +1,11 @@
-package cluster
+package shardserve
 
-// The min-allreduce value: how the sharded serving layer
-// (internal/shardserve) and the real-transport collective
-// (netcluster.MinAllreduce) combine per-machine (argmin, dist) pairs
-// into the global nearest centroid per query row. CombineMin is an
-// elementwise min with deterministic lowest-global-index tie-breaking,
-// associative and commutative, so folding shard answers in any arrival
-// order gives the same result as the single-node left-to-right argmin
-// scan.
+// The min-reduce value: how the fan-out combines per-shard (argmin,
+// dist) pairs into the global nearest centroid per query row.
+// CombineMin is an elementwise min with deterministic
+// lowest-global-index tie-breaking, associative and commutative, so
+// folding shard answers in any arrival order gives the same result as
+// the single-node left-to-right argmin scan.
 
 // MinPair is one query row's running reduction state: the global index
 // of the nearest centroid seen so far and its raw (unclamped) squared
@@ -24,7 +22,7 @@ type MinPair struct {
 // distance. Panics if the lengths differ.
 func CombineMin(dst, src []MinPair) {
 	if len(dst) != len(src) {
-		panic("cluster: CombineMin length mismatch")
+		panic("shardserve: CombineMin length mismatch")
 	}
 	for i, s := range src {
 		if s.Index < 0 {

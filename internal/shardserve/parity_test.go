@@ -18,7 +18,7 @@ import (
 // deliberately. The single node scans global indices ascending and
 // keeps the first strict minimum; the shard path must reproduce that
 // through the per-shard scans plus the lowest-global-index tie-break of
-// cluster.CombineMin.
+// CombineMin.
 
 // parityCase builds k×d centroids with duplicate rows (exact ties) and
 // a query set mixing random rows, exact centroid copies (ties at

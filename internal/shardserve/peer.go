@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"knor/internal/cluster"
 	"knor/internal/matrix"
 	"knor/internal/netcluster"
 	"knor/internal/serve"
@@ -40,7 +39,7 @@ type PeerOptions struct {
 // counted in this process's registry, and FederateMetrics reports them
 // without families rather than repeating it under N ranks.
 func StartLocalPeers(m int, opts PeerOptions) netcluster.Transport {
-	g := netcluster.NewSimGroup(cluster.New(m, simclock.DefaultCostModel()))
+	g := netcluster.NewSimGroup(m, simclock.DefaultCostModel())
 	lp := &localPeers{SimTransport: g.Transport(0)}
 	for r := 1; r < m; r++ {
 		lp.wg.Add(1)

@@ -436,7 +436,7 @@ func (sr *ShardRegistry) restoreLocked(name string, cm canonModel) error {
 				view := &matrix.Mat[float32]{RowsN: p.Rows(), ColsN: d, Data: cm.c32.Data[p.Lo*d : p.Hi*d]}
 				_, err = serve.RestoreOf(sr.regs[m], key, cm.version, cm.node, view)
 			} else {
-				_, err = sr.regs[m].Restore(key, cm.version, cm.node, p.View(cm.c64))
+				_, err = sr.regs[m].Restore(key, cm.version, cm.node, dist.ViewOf(p, cm.c64))
 			}
 			if err != nil {
 				return err

@@ -10,7 +10,7 @@
 //     streamed from a simulated SSD array through a SAFS-like layer with
 //     a partitioned lazily-updated row cache;
 //   - RunDistributed — knord, decentralised per-machine drivers merged
-//     with MPI-style allreduce collectives.
+//     by one collective per iteration over a simulated network.
 //
 // On top of the batch trainers sits an online serving layer (see
 // Registry, Batcher and StreamEngine, and the knorserve command):
@@ -233,7 +233,8 @@ func LoadMatrixAny(path string) (*Matrix, error) {
 }
 
 // RunDistributed executes knord (or the MPI/MLlib comparison modes)
-// over the simulated cluster.
+// over a simulated cluster: M in-process ranks exchanging the frames a
+// multi-process run exchanges.
 func RunDistributed(data *Matrix, cfg DistConfig) (*Result, error) {
 	return dist.Run(data, cfg)
 }

@@ -5,9 +5,10 @@
 #   Part 1 (training): a 3-process knord run must produce the same
 #   result checksum (centroid bits + assignments + SSE bits + iteration
 #   count) as the single-process run of the same config, at both
-#   -precision 64 and 32. -threads 1 everywhere: the intra-machine
-#   thread pool claims tasks off a shared cursor, so only one thread
-#   per machine pins the floating-point fold order.
+#   -precision 64 and 32, and in -mode mllib (gather to the driver and
+#   broadcast instead of the allgather). -threads 1 everywhere: the
+#   intra-machine thread pool claims tasks off a shared cursor, so only
+#   one thread per machine pins the floating-point fold order.
 #
 #   Part 2 (serving): knorserve as a coordinator plus two worker
 #   processes (-machines 3 -replicas 2), train + publish a model,
@@ -43,26 +44,32 @@ $GO build -o "$TMP/knorserve" ./cmd/knorserve
 KNORD_ARGS="-gen-n 3000 -gen-d 8 -k 7 -iters 30 -threads 1 -machines 3"
 KNORD_PORT=18431
 
-for P in 64 32; do
-    solo=$("$TMP/knord" $KNORD_ARGS -precision "$P" | awk '/^checksum:/{print $2}')
-    [ -n "$solo" ] || fail "knord solo p=$P printed no checksum"
+# knord_parity P MODE: the 3-process run of MODE at precision P must
+# print the solo run's checksum.
+knord_parity() {
+    P=$1 MODE=$2
+    args="$KNORD_ARGS -precision $P -mode $MODE"
+    solo=$("$TMP/knord" $args | awk '/^checksum:/{print $2}')
+    [ -n "$solo" ] || fail "knord solo $MODE p=$P printed no checksum"
 
-    "$TMP/knord" $KNORD_ARGS -precision "$P" -join 127.0.0.1:$KNORD_PORT \
-        >"$TMP/knord-w1.$P.log" 2>&1 &
+    "$TMP/knord" $args -join 127.0.0.1:$KNORD_PORT >"$TMP/knord-w1.log" 2>&1 &
     w1=$!
-    "$TMP/knord" $KNORD_ARGS -precision "$P" -join 127.0.0.1:$KNORD_PORT \
-        >"$TMP/knord-w2.$P.log" 2>&1 &
+    "$TMP/knord" $args -join 127.0.0.1:$KNORD_PORT >"$TMP/knord-w2.log" 2>&1 &
     w2=$!
     PIDS="$PIDS $w1 $w2"
-    cluster=$("$TMP/knord" $KNORD_ARGS -precision "$P" -listen 127.0.0.1:$KNORD_PORT \
-        | awk '/^checksum:/{print $2}') || fail "knord coordinator p=$P failed"
-    wait "$w1" || fail "knord worker 1 p=$P failed: $(cat "$TMP/knord-w1.$P.log")"
-    wait "$w2" || fail "knord worker 2 p=$P failed: $(cat "$TMP/knord-w2.$P.log")"
+    cluster=$("$TMP/knord" $args -listen 127.0.0.1:$KNORD_PORT \
+        | awk '/^checksum:/{print $2}') || fail "knord coordinator $MODE p=$P failed"
+    wait "$w1" || fail "knord worker 1 $MODE p=$P failed: $(cat "$TMP/knord-w1.log")"
+    wait "$w2" || fail "knord worker 2 $MODE p=$P failed: $(cat "$TMP/knord-w2.log")"
 
     [ "$solo" = "$cluster" ] || \
-        fail "knord p=$P checksum mismatch: solo=$solo 3-process=$cluster"
-    echo "cluster-smoke: knord p=$P 3-process checksum == solo ($solo)"
-done
+        fail "knord $MODE p=$P checksum mismatch: solo=$solo 3-process=$cluster"
+    echo "cluster-smoke: knord $MODE p=$P 3-process checksum == solo ($solo)"
+}
+
+knord_parity 64 knord
+knord_parity 32 knord
+knord_parity 64 mllib
 
 # ---- Part 2: knorserve cluster failover + single-node parity ---------
 
@@ -169,4 +176,4 @@ ready=$(curl -fsS "http://$HTTP/readyz") || fail "readyz not 200 after kill"
 echo "$ready" | grep -q '"ready"\|"degraded"' || fail "unexpected readyz after kill: $ready"
 echo "cluster-smoke: worker killed (SIGKILL), failover answers bit-identical"
 
-echo "cluster-smoke: ok (training parity at both precisions, serving parity through a real process kill)"
+echo "cluster-smoke: ok (training parity at both precisions and in mllib mode, serving parity through a real process kill)"
